@@ -7,8 +7,6 @@ lexicographic order as numpy blocks, so "first maximum found" always means
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -111,40 +109,3 @@ def scan_compositions(
     assert best_row is not None
     return best_value, best_row
 
-
-def integer_poly_evaluator(poly, extra_degree_base: int = 1):
-    """Build a vectorized int64 evaluator for a rational-coefficient polynomial.
-
-    Values are returned scaled by ``L * base**dmax`` where L clears all
-    coefficient denominators and ``base`` homogenizes mixed degrees (pass
-    the grid resolution when coordinates are numerators over ``base``).
-    Returns (evaluate, to_fraction, coefficient_magnitude) where
-    ``to_fraction(v)`` undoes the scaling and the magnitude sum supports
-    the caller's int64 overflow check.
-    """
-    dmax = poly.degree()
-    lcm = math.lcm(*(c.denominator for c in poly.terms.values()))
-    scaled = [
-        (subset, int(c * lcm) * extra_degree_base ** (dmax - len(subset)))
-        for subset, c in poly.terms.items()
-    ]
-    scale = lcm * extra_degree_base**dmax
-
-    max_abs = sum(abs(c) for _, c in scaled) or 1
-
-    def evaluate(block: np.ndarray) -> np.ndarray:
-        out = np.zeros(block.shape[0], dtype=np.int64)
-        for subset, c in scaled:
-            if subset:
-                prod = block[:, subset[0]].copy()
-                for i in subset[1:]:
-                    prod *= block[:, i]
-                out += c * prod
-            else:
-                out += c
-        return out
-
-    def to_fraction(value) -> Fraction:
-        return Fraction(int(value), scale)
-
-    return evaluate, to_fraction, max_abs

@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("lagrangian", help="maximize a hypergraph's edge polynomial")
@@ -234,9 +233,7 @@ def _run(args) -> int:
 
     if args.command == "extremal-count":
         base = gamma(args.t)
-        sizes, count = extremal_blowup_search(
-            base, args.n, mode=args.mode, threads=args.threads, seed=args.seed
-        )
+        sizes, count = extremal_blowup_search(base, args.n, mode=args.mode, seed=args.seed)
         profiles = count_extremal_profiles(args.t, args.n)
         _emit(
             _json(

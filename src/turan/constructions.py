@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -36,7 +35,7 @@ from .common import (
     effective_budget,
 )
 from .hypergraph import Hypergraph, _check_pair
-from .lagrangian import maximize
+from .lagrangian import SimplexPoint, maximize
 from .polynomial import MultilinearPoly
 
 
@@ -241,16 +240,25 @@ def gamma(t: int) -> Hypergraph:
         t-1  for {i, j} in {{t, t+2}, {t+1, t+3}},
         1    for {i, j} in {{t, t+1}, {t+2, t+3}}.
     """
+    base, pair, _ = gamma_base(t)
+    return crossed_blowup(base, pair).relabel(gamma_permutation(t))
+
+
+def gamma_base(t: int) -> tuple[Hypergraph, tuple[int, int], SimplexPoint]:
+    """The base 3-graph, its crossed pair, and an exact maximizer of the base.
+
+    For t >= 2 the base is the complete 3-graph on t+2 vertices with the
+    uniform maximizer; for t = 1 it is {023, 123}, maximized at
+    (1/6, 1/6, 1/3, 1/3).  Crossing the base on the pair gives gamma(t)
+    before relabeling.
+    """
     if t < 1:
         raise InvalidArgumentError(f"t must be >= 1, got {t}")
     if t == 1:
-        base = Hypergraph(3, 4, [(0, 2, 3), (1, 2, 3)])
-        pair = (2, 3)
-    else:
-        base = Hypergraph.complete(3, t + 2)
-        pair = (t, t + 1)
-    raw = crossed_blowup(base, pair)
-    return raw.relabel(gamma_permutation(t))
+        third, sixth = Fraction(1, 3), Fraction(1, 6)
+        z = SimplexPoint([sixth, sixth, third, third])
+        return Hypergraph(3, 4, [(0, 2, 3), (1, 2, 3)]), (2, 3), z
+    return Hypergraph.complete(3, t + 2), (t, t + 1), SimplexPoint.uniform(t + 2)
 
 
 def gamma_permutation(t: int) -> tuple[int, ...]:
@@ -305,7 +313,6 @@ def extremal_blowup_search(
     n: int,
     mode: str = "exhaustive",
     budget: int | None = None,
-    threads: int = 1,
     seed: int = 0,
     restarts: int = 20,
 ) -> tuple[tuple[int, ...], int]:
@@ -322,51 +329,26 @@ def extremal_blowup_search(
     if m == 0:
         raise InvalidArgumentError("base hypergraph has no vertices")
     if mode == "exhaustive":
-        return _exhaustive_search(graph, n, budget, threads)
+        return _exhaustive_search(graph, n, budget)
     if mode == "local":
         return _local_search(graph, n, seed, restarts)
     raise InvalidArgumentError(f"unknown mode {mode!r}")
 
 
-def _exhaustive_search(graph, n, budget, threads):
-    poly = MultilinearPoly.from_hypergraph(graph)
-    evaluate, _, max_abs = _grid.integer_poly_evaluator(poly)
-    if max_abs * (max(n, 1) ** graph.r) >= 2**62:  # pragma: no cover - huge inputs
+def _exhaustive_search(graph, n, budget):
+    kernel = MultilinearPoly.from_hypergraph(graph).kernel
+    # every edge term has degree r and coefficient 1, so rows scan to counts
+    coefs, _ = kernel.integer_coefficients(n)
+    if not kernel.fits_int64(coefs, n):  # pragma: no cover - huge inputs
         raise InvalidArgumentError("size vector scan would overflow int64")
-    count = _grid.composition_count(n, graph.n)
-    cap = effective_budget(budget)
-    if count > cap:
-        raise BudgetExceededError(
-            f"exhaustive blowup search needs {count} size vectors, budget is {cap}"
-        )
-    if threads <= 1 or graph.n == 1:
-        best, row = _grid.scan_compositions(
-            n, graph.n, evaluate, budget=budget, what="exhaustive blowup search"
-        )
-        return row, int(best)
-
-    def scan_first(v: int):
-        best_v = None
-        best_row = None
-        for block in _grid.iter_composition_blocks(n - v, graph.n - 1):
-            head = np.full((block.shape[0], 1), v, dtype=np.int64)
-            rows = np.hstack([head, block])
-            values = evaluate(rows)
-            k = int(np.argmax(values))
-            if best_v is None or values[k] > best_v:
-                best_v = values[k]
-                best_row = tuple(int(x) for x in rows[k])
-        return best_v, best_row
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(scan_first, range(n + 1)))
-    best_v, best_row = None, None
-    for value, row in results:  # deterministic merge in first-coordinate order
-        if value is None:
-            continue
-        if best_v is None or value > best_v:
-            best_v, best_row = value, row
-    return best_row, int(best_v)
+    best, row = _grid.scan_compositions(
+        n,
+        graph.n,
+        lambda block: kernel.batch(block, coefs),
+        budget=budget,
+        what="exhaustive blowup search",
+    )
+    return row, int(best)
 
 
 def _local_search(graph, n, seed, restarts):

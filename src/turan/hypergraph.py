@@ -49,6 +49,20 @@ def _check_pair(pair: Sequence[int], n: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _canonical_edge(raw: Sequence[int], r: int, n: int) -> Edge:
+    """The sorted tuple of one edge; raises unless it is an r-subset of 0..n-1."""
+    edge = tuple(sorted(int(v) for v in raw))
+    if len(edge) != r:
+        raise InvalidArgumentError(
+            f"edge {tuple(raw)!r} has {len(edge)} vertices, expected {r}"
+        )
+    if len(set(edge)) != r:
+        raise InvalidArgumentError(f"edge {tuple(raw)!r} repeats a vertex")
+    if edge and (edge[0] < 0 or edge[-1] >= n):
+        raise InvalidArgumentError(f"edge {edge!r} out of range for n={n}")
+    return edge
+
+
 class Hypergraph:
     """Immutable r-uniform hypergraph on vertices ``0 .. n-1``.
 
@@ -64,18 +78,7 @@ class Hypergraph:
             raise InvalidArgumentError(f"uniformity must be >= 1, got {r}")
         if n < 0:
             raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
-        canonical = set()
-        for raw in edges:
-            edge = tuple(sorted(int(v) for v in raw))
-            if len(edge) != r:
-                raise InvalidArgumentError(
-                    f"edge {tuple(raw)!r} has {len(tuple(raw))} vertices, expected {r}"
-                )
-            if len(set(edge)) != r:
-                raise InvalidArgumentError(f"edge {tuple(raw)!r} repeats a vertex")
-            if edge and (edge[0] < 0 or edge[-1] >= n):
-                raise InvalidArgumentError(f"edge {edge!r} out of range for n={n}")
-            canonical.add(edge)
+        canonical = {_canonical_edge(raw, r, n) for raw in edges}
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
@@ -255,15 +258,10 @@ class Hypergraph:
                     raise ParseError("header must be 'r n'", line=lineno)
                 header = (values[0], values[1])
                 continue
-            if len(values) != header[0]:
-                raise ParseError(
-                    f"edge has {len(values)} vertices, expected {header[0]}", line=lineno
-                )
             try:
-                Hypergraph(header[0], header[1], [values])
+                edges.append(_canonical_edge(values, *header))
             except InvalidArgumentError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-            edges.append(tuple(values))
         if header is None:
             raise ParseError("empty input: missing 'r n' header", line=1)
         return cls(header[0], header[1], edges)

@@ -24,7 +24,7 @@ from .common import (
     PreconditionError,
     effective_budget,
 )
-from .polynomial import MultilinearPoly
+from .polynomial import MultilinearPoly, PolyKernel
 
 #: Convergence target for the projected-gradient (KKT) residual.
 DEFAULT_TOL = 1e-12
@@ -156,45 +156,6 @@ class LagrangianResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# numeric engine
-
-
-class _Engine:
-    """Degree-grouped numpy evaluation of a multilinear polynomial."""
-
-    def __init__(self, poly: MultilinearPoly):
-        self.m = poly.m
-        self.constant = float(poly.coefficient(()))
-        self.groups = []
-        by_degree: dict[int, list] = {}
-        for subset, coef in poly.terms.items():
-            if subset:
-                by_degree.setdefault(len(subset), []).append((subset, float(coef)))
-        for d, items in sorted(by_degree.items()):
-            idx = np.array([s for s, _ in items], dtype=np.intp)
-            coefs = np.array([c for _, c in items], dtype=float)
-            self.groups.append((d, idx, coefs))
-
-    def value(self, x: np.ndarray) -> float:
-        total = self.constant
-        for d, idx, coefs in self.groups:
-            total += float(np.dot(np.prod(x[idx], axis=1), coefs))
-        return total
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.m)
-        for d, idx, coefs in self.groups:
-            if d == 1:
-                np.add.at(g, idx[:, 0], coefs)
-                continue
-            cols = x[idx]
-            for pos in range(d):
-                others = np.prod(np.delete(cols, pos, axis=1), axis=1)
-                np.add.at(g, idx[:, pos], coefs * others)
-        return g
-
-
 def _kkt_residual(x: np.ndarray, g: np.ndarray) -> float:
     c = float(np.dot(x, g))
     active = x > _ACTIVE_EPS
@@ -206,16 +167,16 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray) -> float:
     return res
 
 
-def _mirror_ascent(engine: _Engine, x0: np.ndarray, tol: float, max_iter: int = 2500):
+def _mirror_ascent(kernel: PolyKernel, x0: np.ndarray, tol: float, max_iter: int = 2500):
     x = np.clip(x0, 1e-300, None)
     x = x / x.sum()
-    fx = engine.value(x)
+    fx = kernel.value(x)
     step = 1.0
     residual = np.inf
     stalled = 0
     anchor = fx
     for it in range(max_iter):
-        g = engine.grad(x)
+        g = kernel.gradient(x)
         residual = _kkt_residual(x, g)
         if residual <= tol:
             break
@@ -230,7 +191,7 @@ def _mirror_ascent(engine: _Engine, x0: np.ndarray, tol: float, max_iter: int = 
             # multiplicative-weights step; shift keeps the exp bounded
             y = x * np.exp(step * (g - g.max()))
             y = y / y.sum()
-            fy = engine.value(y)
+            fy = kernel.value(y)
             if fy > fx:
                 gain = fy - fx
                 x, fx = y, fy
@@ -267,55 +228,43 @@ def grid_oracle(
         raise InvalidArgumentError("grid oracle needs at least one variable")
     if resolution < 1:
         raise InvalidArgumentError(f"resolution must be >= 1, got {resolution}")
-    evaluate, to_fraction, max_abs = _grid.integer_poly_evaluator(
-        poly, extra_degree_base=resolution
-    )
-    int_safe = max_abs * (max(resolution, 1) ** poly.degree()) < 2**62
-    if int_safe:
+    kernel = poly.kernel
+    coefs, scale = kernel.integer_coefficients(resolution)
+    if kernel.fits_int64(coefs, resolution):
         best, row = _grid.scan_compositions(
-            resolution, poly.m, evaluate, budget=budget, what="grid oracle"
+            resolution,
+            poly.m,
+            lambda block: kernel.batch(block, coefs),
+            budget=budget,
+            what="grid oracle",
         )
-        value = to_fraction(best)
-        point = SimplexPoint([Fraction(k, resolution) for k in row])
-        return GridResult(value, point)
+        return GridResult(Fraction(int(best), scale), _grid_point(row, resolution))
 
-    # float scan with exact re-evaluation of near-maximal grid points
-    coefs = [(s, float(c)) for s, c in poly.terms.items()]
-
-    def approx(block: np.ndarray) -> np.ndarray:
-        xs = block.astype(float) / resolution
-        out = np.zeros(block.shape[0])
-        for subset, c in coefs:
-            if subset:
-                prod = xs[:, subset[0]].copy()
-                for i in subset[1:]:
-                    prod *= xs[:, i]
-                out += c * prod
-            else:
-                out += c
-        return out
-
+    # Float scan for candidates: every grid point whose float value is within
+    # the scan's rounding error (a few ulps per term and factor, relative to
+    # sum |c_S|) of the float maximum.  Candidates are then scanned again with
+    # exact Python integers.
     count = _grid.composition_count(resolution, poly.m)
     cap = effective_budget(budget)
     if count > cap:
         raise BudgetExceededError(f"grid oracle needs {count} points, budget is {cap}")
+    magnitude = sum(abs(c) for c in kernel.float_coefs)
+    slack = 1e-9 + (len(coefs) + 2 * kernel.degree + 2) * 2.0**-52 * magnitude
     best_float = -np.inf
-    candidates: list[tuple[int, ...]] = []
+    near: list[tuple[np.ndarray, np.ndarray]] = []
     for block in _grid.iter_composition_blocks(resolution, poly.m):
-        vals = approx(block)
-        top = float(vals.max())
-        if top > best_float:
-            best_float = top
-        keep = block[vals >= best_float - 1e-9]
-        candidates.extend(tuple(int(v) for v in row) for row in keep[:20_000])
-    best_val: Fraction | None = None
-    best_row: tuple[int, ...] | None = None
-    for row in candidates:
-        value = poly.evaluate([Fraction(k, resolution) for k in row])
-        if best_val is None or value > best_val or (value == best_val and row < best_row):
-            best_val, best_row = value, row
-    assert best_row is not None and best_val is not None
-    return GridResult(best_val, SimplexPoint([Fraction(k, resolution) for k in best_row]))
+        vals = kernel.batch(block.astype(float) / resolution, kernel.float_coefs)
+        best_float = max(best_float, float(vals.max()))
+        keep = vals >= best_float - slack
+        near.append((block[keep], vals[keep]))
+    candidates = np.vstack([rows[vals >= best_float - slack] for rows, vals in near])
+    exact = kernel.batch(candidates.astype(object), coefs)
+    k = int(np.argmax(exact))  # first maximum: candidates are in lex order
+    return GridResult(Fraction(exact[k], scale), _grid_point(candidates[k], resolution))
+
+
+def _grid_point(row: Sequence[int], resolution: int) -> SimplexPoint:
+    return SimplexPoint([Fraction(int(k), resolution) for k in row])
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +312,14 @@ def maximize(
     grid = grid_oracle(poly, resolution, budget=budget)
     grid_float = float(grid.value)
 
-    engine = _Engine(poly)
+    kernel = poly.kernel
     rng = np.random.default_rng(seed)
     best_x: np.ndarray | None = None
     best_f = -np.inf
     best_res = np.inf
     for k in range(starts):
         x0 = np.full(m, 1.0 / m) if k == 0 else rng.dirichlet(np.ones(m))
-        x, fx, residual = _mirror_ascent(engine, x0, tol, max_iter=max_iter)
+        x, fx, residual = _mirror_ascent(kernel, x0, tol, max_iter=max_iter)
         better = fx > best_f + 1e-15
         tie = abs(fx - best_f) <= 1e-15 and best_x is not None and tuple(x) < tuple(best_x)
         if best_x is None or better or tie:
@@ -383,7 +332,7 @@ def maximize(
     if grid_float > value:
         value = grid_float
         maximizer = SimplexPoint(grid.point.as_float_array().tolist())
-        g = engine.grad(maximizer.as_float_array())
+        g = kernel.gradient(maximizer.as_float_array())
         kkt = _kkt_residual(maximizer.as_float_array(), g)
 
     exact = None
@@ -496,18 +445,7 @@ def _check_first_order_maximum(poly: MultilinearPoly, z: SimplexPoint) -> None:
     that no off-support partial exceeds.  Necessary (not sufficient) for a
     maximizer; rejects points that are obviously not optimal."""
     coords = z.as_fractions()
-    grads = []
-    for k in range(poly.m):
-        g = Fraction(0)
-        for subset, coef in poly.terms.items():
-            if k not in subset:
-                continue
-            prod = coef
-            for l in subset:
-                if l != k:
-                    prod *= coords[l]
-            g += prod
-        grads.append(g)
+    grads = [poly.partial(k).evaluate(coords) for k in range(poly.m)]
     support = [k for k in range(poly.m) if coords[k] > 0]
     common = grads[support[0]] if support else Fraction(0)
     if any(grads[k] != common for k in support) or any(
@@ -609,12 +547,20 @@ class WeightProfileFit:
     max_deviation: float
 
 
-def fit_weight_profile(t: int, x, eps: float) -> Optional[WeightProfileFit]:
-    """Fit a near-optimal weight vector to the two-parameter optimal template.
+def profile_template(t: int, alpha: float) -> np.ndarray:
+    """The float alpha-profile on t+4 coordinates: 1/(t+2) on the first t,
+    alpha/(t+2) on positions t and t+3, (1-alpha)/(t+2) on t+1 and t+2."""
+    template = np.empty(t + 4)
+    template[:t] = 1.0 / (t + 2)
+    template[t] = template[t + 3] = alpha / (t + 2)
+    template[t + 1] = template[t + 2] = (1.0 - alpha) / (t + 2)
+    return template
 
-    The template on t+4 coordinates puts 1/(t+2) on the first t, a/(t+2)
-    on positions t and t+3, and (1-a)/(t+2) on positions t+1 and t+2.  The
-    least-squares a is clamped to [0,1]; when a and 1-a fit equally well
+
+def fit_weight_profile(t: int, x, eps: float) -> Optional[WeightProfileFit]:
+    """Fit a near-optimal weight vector to :func:`profile_template` (t, a).
+
+    The least-squares a is clamped to [0,1]; when a and 1-a fit equally well
     the smaller one is returned.  None when the max deviation exceeds eps.
     """
     if t < 2:
@@ -626,11 +572,7 @@ def fit_weight_profile(t: int, x, eps: float) -> Optional[WeightProfileFit]:
         )
 
     def deviation(alpha: float) -> float:
-        template = np.empty(t + 4)
-        template[:t] = 1.0 / (t + 2)
-        template[t] = template[t + 3] = alpha / (t + 2)
-        template[t + 1] = template[t + 2] = (1.0 - alpha) / (t + 2)
-        return float(np.max(np.abs(coords - template)))
+        return float(np.max(np.abs(coords - profile_template(t, alpha))))
 
     alpha = 0.5 + (t + 2) * (
         coords[t] + coords[t + 3] - coords[t + 1] - coords[t + 2]

@@ -8,6 +8,7 @@ float evaluation as a derived mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -35,7 +36,7 @@ def _as_fraction(value) -> Fraction:
 class MultilinearPoly:
     """An m-variable multilinear polynomial over the rationals."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "terms", "_kernel")
 
     def __init__(self, m: int, terms: Mapping[Term, object] | Iterable = ()):
         if m < 0:
@@ -186,37 +187,38 @@ class MultilinearPoly:
         return total
 
     def evaluate_float(self, x: Sequence) -> float:
-        """Round-to-nearest double evaluation (term-by-term accumulation)."""
-        if len(x) != self.m:
-            raise InvalidArgumentError(
-                f"point has {len(x)} coordinates, expected {self.m}"
-            )
-        coords = np.asarray(x, dtype=float)
-        total = 0.0
-        for subset, coef in self.terms.items():
-            prod = float(coef)
-            for i in subset:
-                prod *= coords[i]
-            total += prod
-        return total
+        """Double-precision value, summed per degree by the compiled kernel."""
+        return self.kernel.value(self._float_point(x))
 
     def gradient(self, x: Sequence) -> np.ndarray:
         """Float gradient vector (d p / d x_k evaluated at x)."""
+        return self.kernel.gradient(self._float_point(x))
+
+    def partial(self, k: int) -> "MultilinearPoly":
+        """The exact partial derivative d p / d X_k, in the same variable space."""
+        if not 0 <= k < self.m:
+            raise InvalidArgumentError(f"variable {k} out of range for m={self.m}")
+        return MultilinearPoly(
+            self.m,
+            {tuple(i for i in s if i != k): c for s, c in self.terms.items() if k in s},
+        )
+
+    def _float_point(self, x: Sequence) -> np.ndarray:
         if len(x) != self.m:
             raise InvalidArgumentError(
                 f"point has {len(x)} coordinates, expected {self.m}"
             )
-        coords = np.asarray(x, dtype=float)
-        grad = np.zeros(self.m)
-        for subset, coef in self.terms.items():
-            c = float(coef)
-            for pos, k in enumerate(subset):
-                prod = c
-                for q, i in enumerate(subset):
-                    if q != pos:
-                        prod *= coords[i]
-                grad[k] += prod
-        return grad
+        return np.asarray(x, dtype=float)
+
+    @property
+    def kernel(self) -> "PolyKernel":
+        """The compiled numeric form, built on first use and kept."""
+        try:
+            return self._kernel
+        except AttributeError:
+            kernel = PolyKernel(self)
+            object.__setattr__(self, "_kernel", kernel)
+            return kernel
 
     # -- symmetry and the hat lift ------------------------------------------
 
@@ -336,3 +338,86 @@ class SymmetricDecomposition:
         xi = MultilinearPoly.variable(m, i)
         xj = MultilinearPoly.variable(m, j)
         return self.p1 + self.p2 * (xi + xj) + self.p3 * xi * xj
+
+
+class PolyKernel:
+    """A polynomial compiled once into numpy index arrays.
+
+    Single-point float values sum one gathered product per degree group,
+    ascending.  The gradient takes, for every (term, position) pair in the
+    same degree-then-position order, the product of the term's other
+    variables and accumulates them with one ``bincount``, which adds in
+    that order.  :meth:`batch` scans blocks of integer rows one term column
+    at a time, so memory stays at a few block-length vectors.
+    """
+
+    def __init__(self, poly: MultilinearPoly):
+        self.m = poly.m
+        self.degree = poly.degree()
+        self.subsets = tuple(poly.terms)
+        self.coefs = tuple(poly.terms.values())
+        self.float_coefs = tuple(float(c) for c in self.coefs)
+        self.constant = float(poly.coefficient(()))
+        by_degree: dict[int, list] = {}
+        for subset, coef in zip(self.subsets, self.float_coefs):
+            if subset:
+                by_degree.setdefault(len(subset), []).append((subset, coef))
+        self.groups = []
+        self.partials = []
+        targets = []
+        for d, items in sorted(by_degree.items()):
+            idx = np.array([s for s, _ in items], dtype=np.intp)
+            coefs = np.array([c for _, c in items])
+            self.groups.append((idx, coefs))
+            others = [np.delete(idx, pos, axis=1) for pos in range(d)]
+            self.partials.append((np.vstack(others), np.tile(coefs, d)))
+            targets.extend(idx[:, pos] for pos in range(d))
+        self.targets = np.concatenate(targets) if targets else None
+
+    def value(self, x: np.ndarray) -> float:
+        total = self.constant
+        for idx, coefs in self.groups:
+            total += float(np.dot(np.prod(x[idx], axis=1), coefs))
+        return total
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        if self.targets is None:
+            return np.zeros(self.m)
+        terms = [coefs * np.prod(x[others], axis=1) for others, coefs in self.partials]
+        return np.bincount(self.targets, weights=np.concatenate(terms), minlength=self.m)
+
+    def integer_coefficients(self, total: int) -> tuple[list[int], int]:
+        """Integer coefficients for a :meth:`batch` over rows summing to ``total``.
+
+        Coefficient c_S becomes c_S * L * total**(deg - |S|), where L clears
+        every denominator, so a row k scans to L * total**deg * p(k / total)
+        (for a polynomial whose terms all have degree deg and integer
+        coefficients, that is p(k) itself).  Returns (coefficients, that
+        scale).
+        """
+        lcm = math.lcm(*(c.denominator for c in self.coefs))
+        scaled = [
+            int(c * lcm) * total ** (self.degree - len(s))
+            for s, c in zip(self.subsets, self.coefs)
+        ]
+        return scaled, lcm * total**self.degree
+
+    def fits_int64(self, coefs: Sequence[int], total: int) -> bool:
+        """Whether no partial sum of an int64 scan of rows summing to ``total`` overflows."""
+        max_abs = sum(abs(c) for c in coefs) or 1
+        return max_abs * max(total, 1) ** self.degree < 2**62
+
+    def batch(self, block: np.ndarray, coefs: Sequence) -> np.ndarray:
+        """Values at every row of ``block`` with per-term ``coefs``; the
+        result has the block's dtype (int64, float, or object for exact
+        Python integers)."""
+        out = np.zeros(block.shape[0], dtype=block.dtype)
+        for subset, c in zip(self.subsets, coefs):
+            if subset:
+                prod = block[:, subset[0]].copy()
+                for i in subset[1:]:
+                    prod *= block[:, i]
+                out += c * prod
+            else:
+                out += c
+        return out

@@ -20,10 +20,12 @@ from .constructions import (
     count_extremal_profiles,
     crossed_blowup,
     double_vertex,
+    euler_phi,
     extremal_blowup_search,
     feasible_limit,
     feasible_point,
     gamma,
+    gamma_base,
     gamma_lagrangian,
     gamma_permutation,
     k_crossed_blowup,
@@ -40,6 +42,7 @@ from .lagrangian import (
     fit_weight_profile,
     maximize,
     predicted_segment,
+    profile_template,
     symmetrize_point,
     verify_segment,
 )
@@ -101,22 +104,10 @@ def check_lagrangian_targets(seed: int = 0) -> list[CheckResult]:
 # 2. exact segment certificates
 
 
-def _gamma_base(t: int):
-    if t == 1:
-        base = Hypergraph(3, 4, [(0, 2, 3), (1, 2, 3)])
-        pair = (2, 3)
-        z = SimplexPoint([Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)])
-    else:
-        base = Hypergraph.complete(3, t + 2)
-        pair = (t, t + 1)
-        z = SimplexPoint.uniform(t + 2)
-    return base, pair, z
-
-
 def check_segment_certificates(seed: int = 0) -> list[CheckResult]:
     out = []
     for t in (1, 2, 3):
-        base, pair, z = _gamma_base(t)
+        base, pair, z = gamma_base(t)
         first, second = predicted_segment(base, pair, z)
         target = gamma_lagrangian(t)
         raw_poly = MultilinearPoly.from_hypergraph(crossed_blowup(base, pair))
@@ -517,7 +508,8 @@ def check_property_suites(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    # totients of divisors sum back to the number, all m <= 10^4
+    # totients of divisors sum back to the number, all m <= 10^4; the sieve is
+    # the reference that euler_phi is checked against
     limit = 10_000
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
@@ -528,7 +520,7 @@ def check_property_suites(seed: int = 0) -> list[CheckResult]:
     for q in range(1, limit + 1):
         for mult in range(q, limit + 1, q):
             sums[mult] += phi[q]
-    ok = all(sums[m] == m for m in range(1, limit + 1))
+    ok = all(sums[m] == m and euler_phi(m) == phi[m] for m in range(1, limit + 1))
     out.append(
         _result("divisor totient sums equal m for every m <= 10^4", ok, "")
     )
@@ -551,11 +543,7 @@ def sample_near_optimal(t: int, delta: float, count: int, seed: int = 0) -> list
     m = t + 4
     points = []
     while len(points) < count:
-        alpha = rng.uniform()
-        base = np.empty(m)
-        base[:t] = 1.0 / (t + 2)
-        base[t] = base[t + 3] = alpha / (t + 2)
-        base[t + 1] = base[t + 2] = (1.0 - alpha) / (t + 2)
+        base = profile_template(t, rng.uniform())
         noise = rng.normal(size=m)
         noise -= noise.mean()
         scale = 10.0 ** rng.uniform(-9.0, -4.0)

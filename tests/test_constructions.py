@@ -314,11 +314,6 @@ class TestExtremalSearch:
             _, local = extremal_blowup_search(base, n, mode="local")
             assert local == exhaustive
 
-    def test_threads_deterministic(self):
-        a = extremal_blowup_search(gamma(2), 12, threads=1)
-        b = extremal_blowup_search(gamma(2), 12, threads=4)
-        assert a == b
-
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             extremal_blowup_search(gamma(2), 100, budget=1000)

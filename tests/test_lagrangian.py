@@ -81,6 +81,14 @@ class TestGridOracle:
         with pytest.raises(BudgetExceededError):
             grid_oracle(P_K4, 1000, budget=100)
 
+    def test_float_fallback_keeps_every_near_tie(self):
+        # the 3^-40 coefficient makes the int64 scan unsafe, and in floats
+        # every grid point ties at 1.0
+        p = MultilinearPoly(8, {(): 1, (0,): frac(1, 3**40)})
+        value, point = grid_oracle(p, 12)
+        assert value == 1 + frac(1, 3**40)
+        assert point.coords == (frac(1),) + (frac(0),) * 7
+
     def test_rational_coefficients_exact(self):
         p = MultilinearPoly(3, {(0, 1): frac(1, 3), (1, 2): frac(1, 5), (0,): frac(1, 7)})
         value, point = grid_oracle(p, 6)

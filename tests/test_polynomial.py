@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from turan import (
     SplitMismatchError,
     gamma,
     gamma_permutation,
+    grid_oracle,
     tight_cycle,
 )
+from turan._grid import iter_composition_blocks
 from turan.constructions import double_vertex
+from turan.polynomial import PolyKernel
 
 K4 = Hypergraph.complete(3, 4)
 P_K4 = MultilinearPoly.from_hypergraph(K4)
@@ -223,6 +227,73 @@ class TestGradient:
                     xm[k] -= h
                     fd = (poly.evaluate_float(xp) - poly.evaluate_float(xm)) / (2 * h)
                     assert abs(grad[k] - fd) <= 1e-6 * max(1.0, abs(grad[k]))
+
+
+class TestPartial:
+    def test_drops_the_variable(self):
+        p = MultilinearPoly(3, {(0, 1): 2, (1, 2): Fraction(1, 3), (0,): 5, (): 7})
+        assert p.partial(1) == MultilinearPoly(3, {(0,): 2, (2,): Fraction(1, 3)})
+        assert p.partial(0) == MultilinearPoly(3, {(1,): 2, (): 5})
+
+    def test_out_of_range(self):
+        with pytest.raises(InvalidArgumentError):
+            P_K4.partial(4)
+
+
+@st.composite
+def signed_polys(draw, max_m=5):
+    """Signed rational polynomials with terms of degree 0 to 4."""
+    m = draw(st.integers(1, max_m))
+    subsets = st.lists(st.integers(0, m - 1), max_size=4, unique=True)
+    coefs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return MultilinearPoly(m, draw(st.lists(st.tuples(subsets, coefs), max_size=10)))
+
+
+def rational_point(draw, m):
+    return [
+        draw(st.fractions(min_value=-1, max_value=1, max_denominator=16)) for _ in range(m)
+    ]
+
+
+class TestKernelDifferential:
+    """The compiled kernel against exact Fraction evaluation."""
+
+    @given(signed_polys(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_value_and_gradient(self, poly, data):
+        x = rational_point(data.draw, poly.m)
+        xf = [float(v) for v in x]
+        assert abs(poly.evaluate_float(xf) - poly.evaluate(x)) <= 1e-12
+        grad = poly.gradient(xf)
+        for k in range(poly.m):
+            assert abs(grad[k] - poly.partial(k).evaluate(x)) <= 1e-12
+
+    @given(signed_polys(), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_int64_batch_is_scaled_exact(self, poly, total):
+        coefs, scale = poly.kernel.integer_coefficients(total)
+        assert poly.kernel.fits_int64(coefs, total)
+        for block in iter_composition_blocks(total, poly.m):
+            values = poly.kernel.batch(block, coefs)
+            assert values.dtype == np.int64
+            for row, value in zip(block, values):
+                point = [Fraction(int(k), total) for k in row]
+                assert Fraction(int(value), scale) == poly.evaluate(point)
+
+    @given(signed_polys(max_m=4), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_float_grid_oracle_matches_enumeration(self, poly, resolution):
+        with mock.patch.object(PolyKernel, "fits_int64", return_value=False):
+            value, point = grid_oracle(poly, resolution)
+        best_value, best_row = None, None
+        for row in itertools.product(range(resolution + 1), repeat=poly.m):
+            if sum(row) != resolution:
+                continue
+            candidate = poly.evaluate([Fraction(k, resolution) for k in row])
+            if best_value is None or candidate > best_value:
+                best_value, best_row = candidate, row
+        assert value == best_value
+        assert point.coords == tuple(Fraction(k, resolution) for k in best_row)
 
 
 class TestMultilinearity:
