@@ -1,4 +1,4 @@
-"""Shared error types and enumeration-budget plumbing."""
+"""Shared error types, enumeration-budget plumbing and the immutable base."""
 
 from __future__ import annotations
 
@@ -9,6 +9,32 @@ import os
 DEFAULT_BUDGET = 10_000_000
 
 _BUDGET_ENV = "TURAN_BUDGET"
+
+
+class Frozen:
+    """Base of the immutable ``__slots__`` value types.
+
+    Attribute writes raise.  Copies and pickles carry the public slots and
+    restore them with ``object.__setattr__``, without re-running the
+    constructor (which may normalize); private slots are caches and are
+    left unset.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if not name.startswith("_")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 class TuranError(Exception):

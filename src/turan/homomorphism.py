@@ -2,9 +2,16 @@
 
 A homomorphism maps each edge onto an edge *as a set of r distinct
 vertices*: maps collapsing an edge are rejected.  Search assigns the
-source vertices in decreasing-degree order (ascending candidate images),
-pruning any assignment that sends a covered pair of the source onto a
-non-covered pair of the target.
+source vertices in a fixed order (decreasing degree for existence
+queries, index order for enumeration) and keeps, for every unassigned
+vertex, a bitmask domain of the target vertices it may still take.
+Forward checking narrows those domains after each assignment: a vertex
+sharing a covered pair with the assigned one keeps only target vertices
+adjacent to its image, and the last vertex of an edge whose other r-1
+vertices are assigned keeps only the vertices completing their images to
+a target edge.  A branch is cut as soon as a domain empties.  Candidates
+are tried in ascending order, so enumeration stays lexicographic, and
+``nodes_expanded`` counts the candidate assignments tried.
 """
 
 from __future__ import annotations
@@ -75,78 +82,94 @@ class HomSearchResult:
         }
 
 
-def _pair_cover(graph: Hypergraph) -> set[tuple[int, int]]:
-    pairs = set()
-    for e in graph.edges:
-        pairs.update(itertools.combinations(e, 2))
-    return pairs
-
-
 def _search(
     source: Hypergraph,
     target: Hypergraph,
     order: list[int],
     on_solution: Callable[[tuple[int, ...]], bool],
 ) -> int:
-    """Backtracking over the given vertex order.
+    """Forward-checking backtracking over the given vertex order.
 
-    ``on_solution`` receives each complete image vector (in vertex order,
-    not search order) and returns True to continue enumerating.  Returns
-    the number of expanded assignment nodes.
+    Domains are bitmasks over the target vertices (see the module
+    docstring).  ``on_solution`` receives each complete image vector (in
+    vertex order, not search order) and returns True to continue
+    enumerating.  Returns the number of candidate assignments tried.
     """
-    src_pairs = _pair_cover(source)
-    tgt_pairs = _pair_cover(target)
-    tgt_edges = set(target.edges)
+    r = source.r
+    size = len(order)
     position = {v: k for k, v in enumerate(order)}
-    # edges become checkable once their last vertex (in search order) is set
-    edges_by_last = [[] for _ in order]
+    # adj[w]: target vertices sharing an edge with w (never w itself);
+    # link[mask]: vertices completing the (r-1)-set ``mask`` to an edge
+    adj = [0] * target.n
+    link: dict[int, int] = {}
+    for e in target.edges:
+        mask = 0
+        for w in e:
+            mask |= 1 << w
+        for w in e:
+            rest = mask ^ (1 << w)
+            adj[w] |= rest
+            link[rest] = link.get(rest, 0) | (1 << w)
+    domains = [(1 << target.n) - 1] * size
+    # later positions sharing a covered pair with each position
+    pair_sets: list[set[int]] = [set() for _ in order]
+    # (earlier positions, last position) of each edge, at its second-to-last
+    edges_at: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
     for e in source.edges:
-        last = max(e, key=lambda v: position[v])
-        edges_by_last[position[last]].append(e)
-    # covered source pairs against earlier-assigned vertices
-    pair_checks = [[] for _ in order]
-    for u, v in src_pairs:
-        first, second = sorted((u, v), key=lambda w: position[w])
-        pair_checks[position[second]].append(first)
+        spots = sorted(position[v] for v in e)
+        for i, p in enumerate(spots):
+            pair_sets[p].update(spots[i + 1 :])
+        if r == 1:
+            # a one-vertex edge has no second-to-last vertex: restrict at the root
+            domains[spots[0]] &= link.get(0, 0)
+        else:
+            edges_at[spots[-2]].append((tuple(spots[:-2]), spots[-1]))
+    later = [sorted(s) for s in pair_sets]
 
-    images = [-1] * source.n
+    bits = [0] * size
     nodes = 0
     stop = False
 
-    def attempt(pos: int) -> None:
+    def attempt(pos: int, doms: list[int]) -> None:
         nonlocal nodes, stop
-        if stop:
-            return
-        if pos == len(order):
+        if pos == size:
+            images = [0] * size
+            for p, v in enumerate(order):
+                images[v] = bits[p].bit_length() - 1
             if not on_solution(tuple(images)):
                 stop = True
             return
-        v = order[pos]
-        for w in range(target.n):
+        neighbours = later[pos]
+        closing = edges_at[pos]
+        d = doms[pos]
+        while d:
+            bit = d & -d
+            d ^= bit
             nodes += 1
-            ok = True
-            for earlier in pair_checks[pos]:
-                iw = images[earlier]
-                if iw == w or ((iw, w) if iw < w else (w, iw)) not in tgt_pairs:
-                    ok = False
+            narrowed = doms[:]
+            near = adj[bit.bit_length() - 1]
+            for q in neighbours:
+                left = narrowed[q] & near
+                if not left:
                     break
-            if not ok:
-                continue
-            images[v] = w
-            complete = True
-            for e in edges_by_last[pos]:
-                image = tuple(sorted(images[u] for u in e))
-                if len(set(image)) != source.r or image not in tgt_edges:
-                    complete = False
-                    break
-            if complete:
-                attempt(pos + 1)
-                if stop:
-                    images[v] = -1
-                    return
-            images[v] = -1
+                narrowed[q] = left
+            else:
+                for earlier, last in closing:
+                    mask = bit
+                    for p in earlier:
+                        mask |= bits[p]
+                    left = narrowed[last] & link.get(mask, 0)
+                    if not left:
+                        break
+                    narrowed[last] = left
+                else:
+                    bits[pos] = bit
+                    attempt(pos + 1, narrowed)
+                    if stop:
+                        return
 
-    attempt(0)
+    if all(domains):
+        attempt(0, domains)
     return nodes
 
 

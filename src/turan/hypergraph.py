@@ -15,6 +15,7 @@ from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .common import (
+    Frozen,
     InvalidArgumentError,
     ParseError,
     SizeLimitError,
@@ -63,7 +64,7 @@ def _canonical_edge(raw: Sequence[int], r: int, n: int) -> Edge:
     return edge
 
 
-class Hypergraph:
+class Hypergraph(Frozen):
     """Immutable r-uniform hypergraph on vertices ``0 .. n-1``.
 
     ``n`` may exceed the number of vertices actually covered by edges
@@ -74,17 +75,18 @@ class Hypergraph:
     __slots__ = ("r", "n", "edges")
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
+        # lazy, so r and n are checked before any edge
+        self._fill(r, n, (_canonical_edge(raw, r, n) for raw in edges))
+
+    def _fill(self, r: int, n: int, canonical: Iterable[Edge]) -> None:
+        """Check r and n, then store edges that are already canonical."""
         if r < 1:
             raise InvalidArgumentError(f"uniformity must be >= 1, got {r}")
         if n < 0:
             raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
-        canonical = {_canonical_edge(raw, r, n) for raw in edges}
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", tuple(sorted(canonical)))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Hypergraph is immutable")
+        object.__setattr__(self, "edges", tuple(sorted(set(canonical))))
 
     # -- construction helpers -------------------------------------------------
 
@@ -264,7 +266,9 @@ class Hypergraph:
                 raise ParseError(str(exc), line=lineno) from None
         if header is None:
             raise ParseError("empty input: missing 'r n' header", line=1)
-        return cls(header[0], header[1], edges)
+        graph = cls.__new__(cls)
+        graph._fill(header[0], header[1], edges)
+        return graph
 
 
 def _has_clique(graph: Hypergraph, size: int) -> bool:

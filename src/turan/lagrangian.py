@@ -20,6 +20,7 @@ from . import _grid
 from .common import (
     AsymmetryError,
     BudgetExceededError,
+    Frozen,
     InvalidArgumentError,
     PreconditionError,
     effective_budget,
@@ -37,7 +38,7 @@ _FLOAT_SUM_TOL = 1e-12
 _ACTIVE_EPS = 1e-9
 
 
-class SimplexPoint:
+class SimplexPoint(Frozen):
     """A point of the standard simplex, in exact-rational or float mode.
 
     Exact points must have nonnegative Fraction/int coordinates summing to
@@ -74,9 +75,6 @@ class SimplexPoint:
             arr = arr / total
             object.__setattr__(self, "coords", tuple(float(v) for v in arr))
             object.__setattr__(self, "exact", False)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("SimplexPoint is immutable")
 
     @classmethod
     def uniform(cls, m: int) -> "SimplexPoint":
@@ -133,10 +131,11 @@ class LagrangianResult:
     """Output of :func:`maximize`.
 
     ``exact`` is set only when the snapped rational value was re-verified by
-    exact evaluation at a snapped rational maximizer.  ``kkt_residual`` is
-    the largest deviation of an active-coordinate partial derivative from
-    the common value x . grad(x), with inactive coordinates contributing
-    only upward violations.
+    exact evaluation at a snapped rational maximizer.  ``kkt_residual`` is,
+    at the reported ``maximizer``, the largest deviation of an
+    active-coordinate partial derivative from the common value
+    x . grad(x), with inactive coordinates contributing only upward
+    violations.
     """
 
     value: float
@@ -172,7 +171,6 @@ def _mirror_ascent(kernel: PolyKernel, x0: np.ndarray, tol: float, max_iter: int
     x = x / x.sum()
     fx = kernel.value(x)
     step = 1.0
-    residual = np.inf
     stalled = 0
     anchor = fx
     for it in range(max_iter):
@@ -201,7 +199,7 @@ def _mirror_ascent(kernel: PolyKernel, x0: np.ndarray, tol: float, max_iter: int
             step *= 0.5
         if not improved or stalled >= 25:
             break
-    return x, fx, residual
+    return x, fx
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +314,20 @@ def maximize(
     rng = np.random.default_rng(seed)
     best_x: np.ndarray | None = None
     best_f = -np.inf
-    best_res = np.inf
     for k in range(starts):
         x0 = np.full(m, 1.0 / m) if k == 0 else rng.dirichlet(np.ones(m))
-        x, fx, residual = _mirror_ascent(kernel, x0, tol, max_iter=max_iter)
+        x, fx = _mirror_ascent(kernel, x0, tol, max_iter=max_iter)
         better = fx > best_f + 1e-15
         tie = abs(fx - best_f) <= 1e-15 and best_x is not None and tuple(x) < tuple(best_x)
         if best_x is None or better or tie:
-            best_x, best_f, best_res = x, fx, residual
+            best_x, best_f = x, fx
 
     assert best_x is not None
     value = best_f
     maximizer = SimplexPoint(best_x.tolist())
-    kkt = best_res
     if grid_float > value:
         value = grid_float
         maximizer = SimplexPoint(grid.point.as_float_array().tolist())
-        g = kernel.gradient(maximizer.as_float_array())
-        kkt = _kkt_residual(maximizer.as_float_array(), g)
 
     exact = None
     snapped = _snap(poly, value, best_x)
@@ -344,11 +338,12 @@ def maximize(
         exact, point = snapped
         value = max(value, float(exact))
         maximizer = SimplexPoint([float(v) for v in point])
+    x = maximizer.as_float_array()
     return LagrangianResult(
         value=value,
         exact=exact,
         maximizer=maximizer,
-        kkt_residual=kkt,
+        kkt_residual=_kkt_residual(x, kernel.gradient(x)),
         starts_used=starts,
         grid_lower_bound=grid_float,
     )

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .common import AsymmetryError, InvalidArgumentError, SplitMismatchError
+from .common import AsymmetryError, Frozen, InvalidArgumentError, SplitMismatchError
 
 Term = tuple[int, ...]
 
@@ -33,7 +33,7 @@ def _as_fraction(value) -> Fraction:
     raise InvalidArgumentError(f"cannot interpret {value!r} as an exact rational")
 
 
-class MultilinearPoly:
+class MultilinearPoly(Frozen):
     """An m-variable multilinear polynomial over the rationals."""
 
     __slots__ = ("m", "terms", "_kernel")
@@ -56,9 +56,6 @@ class MultilinearPoly:
                 del acc[key]
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "terms", dict(sorted(acc.items())))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("MultilinearPoly is immutable")
 
     # -- constructors ----------------------------------------------------------
 

@@ -265,7 +265,7 @@ def check_extremal_counts(seed: int = 0) -> list[CheckResult]:
 
 def check_homomorphism_lemmas(seed: int = 0) -> list[CheckResult]:
     out = []
-    for t in (2, 3):
+    for t in range(2, 7):
         graph = gamma(t)
         head = set(range(t))
         cross = ({t, t + 3}, {t + 1, t + 2})

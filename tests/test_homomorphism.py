@@ -13,6 +13,7 @@ from turan import (
     VertexMap,
     blowup,
     enumerate_endomorphisms,
+    enumerate_homomorphisms,
     find_homomorphism,
     gamma,
     in_family_FM,
@@ -38,6 +39,20 @@ def brute_force_has_hom(source, target):
         if ok:
             return True
     return False
+
+
+def brute_force_homomorphisms(source, target):
+    """Independent oracle: every map, in lexicographic image order."""
+    return [
+        images
+        for images in itertools.product(range(target.n), repeat=source.n)
+        if VertexMap(source.n, target.n, images).is_homomorphism(source, target)
+    ]
+
+
+def random_graph(rng, r, n, density):
+    universe = itertools.combinations(range(n), r)
+    return Hypergraph(r, n, [e for e in universe if rng.random() < density])
 
 
 def has_subgraph_copy(small, big):
@@ -81,6 +96,40 @@ class TestFindHomomorphism:
         assert result.found and result.nodes_expanded > 0
         data = result.to_json_dict()
         assert set(data) == {"found", "map", "nodes_expanded"}
+
+
+    def test_full_tree_nodes_below_index_order_scan(self):
+        # an index-order scan of every target vertex expands 942, 5096 and
+        # 34312 nodes here; forward checking must cut strictly below that
+        for t, scan in ((2, 942), (3, 5096), (4, 34312)):
+            result = search_homomorphism(Hypergraph.complete(3, t + 3), gamma(t))
+            assert not result.found
+            assert 0 < result.nodes_expanded < scan
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_random_instances(self, r):
+        rng = np.random.default_rng(20 + r)
+        for _ in range(25):
+            source = random_graph(rng, r, int(rng.integers(r, 6)), 0.5)
+            target = random_graph(rng, r, int(rng.integers(r, 6)), 0.6)
+            want = brute_force_homomorphisms(source, target)
+            got = enumerate_homomorphisms(source, target)
+            assert [phi.images for phi in got] == want
+            if len(want) > 1:
+                k = int(rng.integers(1, len(want)))
+                with pytest.raises(BudgetExceededError) as err:
+                    enumerate_homomorphisms(source, target, limit=k)
+                assert [phi.images for phi in err.value.partial] == want[:k]
+            degrees = [source.degree(v) for v in range(source.n)]
+            order = sorted(range(source.n), key=lambda v: (-degrees[v], v))
+            first = search_homomorphism(source, target).map
+            if want:
+                smallest = min(want, key=lambda images: [images[v] for v in order])
+                assert first.images == smallest
+            else:
+                assert first is None
 
 
 class TestColorable:

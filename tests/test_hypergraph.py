@@ -1,6 +1,8 @@
 """Structural hypergraph operations against small independent oracles."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -309,3 +311,17 @@ class TestInvariants:
             inverse[w] = v
         assert h.relabel(phi) == h
         assert h.relabel(inverse).relabel(phi) == h
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("graph", [K4, C5, Hypergraph.empty(2, 3), gamma(3)])
+    def test_round_trip(self, graph):
+        for clone in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+            assert type(clone) is Hypergraph
+            assert clone == graph and hash(clone) == hash(graph)
+            assert (clone.r, clone.n, clone.edges) == (graph.r, graph.n, graph.edges)
+
+    def test_clone_stays_immutable(self):
+        clone = pickle.loads(pickle.dumps(K4))
+        with pytest.raises(AttributeError):
+            clone.n = 5

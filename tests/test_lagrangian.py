@@ -1,5 +1,7 @@
 """Simplex optimizer, grid oracle, segment certificates, profile fits."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +60,21 @@ class TestSimplexPoint:
         with pytest.raises(InvalidArgumentError):
             SimplexPoint([0.5, 0.6])
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            SimplexPoint([frac(1, 3), frac(1, 6), frac(1, 2)]),
+            # renormalized on construction: a copy must not renormalize again
+            SimplexPoint([0.1, 0.2, 0.7]),
+            SimplexPoint([1 / 3, 1 / 3, 1 / 3 + 1e-13]),
+        ],
+    )
+    def test_copy_and_pickle_round_trip(self, point):
+        for clone in (copy.copy(point), copy.deepcopy(point), pickle.loads(pickle.dumps(point))):
+            assert type(clone) is SimplexPoint
+            assert clone == point and clone.exact == point.exact
+            assert clone.coords == point.coords
+
     def test_uniform(self):
         assert SimplexPoint.uniform(4).coords == (frac(1, 4),) * 4
 
@@ -112,6 +129,16 @@ class TestMaximize:
     def test_cycle(self):
         result = maximize(MultilinearPoly.from_hypergraph(tight_cycle(5)))
         assert result.exact == frac(1, 25)
+
+    def test_kkt_residual_describes_reported_maximizer(self):
+        # each snapped maximizer is an exact KKT point, so the residual at
+        # the reported point is at rounding level even where the ascent
+        # stopped short of the tolerance
+        for graph in (K4, tight_cycle(5), gamma(2)):
+            poly = MultilinearPoly.from_hypergraph(graph)
+            result = maximize(poly, starts=10, seed=0)
+            assert result.exact is not None
+            assert result.kkt_residual <= 1e-14
 
     def test_zero_polynomial(self):
         result = maximize(MultilinearPoly.zero(3))

@@ -1,6 +1,8 @@
 """Exact multilinear algebra: construction, evaluation, decomposition, lift."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -326,3 +328,24 @@ class TestJson:
         assert data["m"] == 5
         assert all(isinstance(t["coef"], str) for t in data["terms"])
         assert MultilinearPoly.from_json_dict(data) == p
+
+
+class TestCopyAndPickle:
+    def test_round_trip(self):
+        signed = MultilinearPoly(3, {(): Fraction(-1, 7), (0, 2): 2, (1,): Fraction(5, 3)})
+        for poly in (P_K4, P_C5, signed, MultilinearPoly.zero(2)):
+            for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+                assert type(clone) is MultilinearPoly
+                assert clone == poly and hash(clone) == hash(poly)
+                assert clone.evaluate([Fraction(1, poly.m or 1)] * poly.m) == poly.evaluate(
+                    [Fraction(1, poly.m or 1)] * poly.m
+                )
+
+    def test_kernel_cache_not_carried(self):
+        poly = MultilinearPoly.from_hypergraph(gamma(2))
+        poly.kernel
+        for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+            assert not hasattr(clone, "_kernel")
+            x = np.full(poly.m, 1 / poly.m)
+            assert clone.evaluate_float(x) == poly.evaluate_float(x)
+            assert clone.kernel is not poly.kernel
