@@ -49,7 +49,7 @@ class VertexMap:
 
     def is_homomorphism(self, source: Hypergraph, target: Hypergraph) -> bool:
         """Direct check that every source edge maps onto a target edge."""
-        target_edges = set(target.edges)
+        target_edges = target.edge_set
         for e in source.edges:
             image = tuple(sorted(self.images[v] for v in e))
             if len(set(image)) != source.r or image not in target_edges:

@@ -72,7 +72,7 @@ class Hypergraph(Frozen):
     rejected rather than silently deduplicated.
     """
 
-    __slots__ = ("r", "n", "edges")
+    __slots__ = ("r", "n", "edges", "_edge_set")
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
         # lazy, so r and n are checked before any edge
@@ -87,6 +87,16 @@ class Hypergraph(Frozen):
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", tuple(sorted(set(canonical))))
+
+    @property
+    def edge_set(self) -> frozenset:
+        """The edges as a frozenset, built on first use and kept."""
+        try:
+            return self._edge_set
+        except AttributeError:
+            edge_set = frozenset(self.edges)
+            object.__setattr__(self, "_edge_set", edge_set)
+            return edge_set
 
     # -- construction helpers -------------------------------------------------
 
@@ -337,7 +347,7 @@ def are_isomorphic(
 
     cod1 = pair_counts(h1)
     cod2 = pair_counts(h2)
-    edge_set2 = set(h2.edges)
+    edge_set2 = h2.edge_set
     order = sorted(range(n), key=lambda v: (-deg1[v], v))
     mapping = [-1] * n
     used = [False] * n

@@ -1,14 +1,17 @@
 """Maximization of multilinear polynomials over the standard simplex.
 
-The optimizer is a multistart mirror ascent (multiplicative-weights update
-with backtracking step control), cross-checked against an exact-rational
-grid enumeration; values that land near a small-denominator rational are
-snapped and re-verified exactly.  Where a closed optimal set exists, it is
-certified by exact segment evaluation rather than recomputed.
+The optimizer runs the Baum–Eagon growth transform x <- x * grad q / (x . grad q)
+on all starts at once, as one (starts, m) batch, where q is the polynomial
+homogenized with nonnegative coefficients (Gopalakrishnan et al. 1991), so
+every step raises the value with no step size.  It is cross-checked against
+an exact-rational grid enumeration; values that land near a small-denominator
+rational are snapped and re-verified exactly.  Where a closed optimal set
+exists, it is certified by exact segment evaluation rather than recomputed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -33,6 +36,10 @@ DEFAULT_TOL = 1e-12
 SNAP_DENOMINATOR = 10_000
 #: How close a float optimum must be to a snapped rational to attempt it.
 SNAP_WINDOW = 1e-7
+#: The ascent stops once the best start has risen by at most
+#: PLATEAU_RISE over PLATEAU_ITERATIONS batch iterations.
+PLATEAU_RISE = 1e-15
+PLATEAU_ITERATIONS = 50
 
 _FLOAT_SUM_TOL = 1e-12
 _ACTIVE_EPS = 1e-9
@@ -127,6 +134,30 @@ class GridResult(NamedTuple):
 
 
 @dataclass(frozen=True)
+class MaximizeStats:
+    """What one :func:`maximize` call did; deterministic for a fixed seed.
+
+    ``grid_points`` grid points at ``grid_resolution`` were scanned.  The
+    batched ascent took ``iterations`` growth steps and stopped for
+    ``stop_reason``: ``"tol"`` (every start's KKT residual within the
+    tolerance), ``"plateau"`` (the best start stalled) or ``"cap"``
+    (``max_iter`` reached); ``starts_converged`` starts ended within the
+    tolerance.  ``phase`` names what produced the reported value:
+    ``"ascent"``, ``"grid"`` or ``"snap"``.  ``snap_denominator`` is the
+    common denominator of the snapped maximizer, None when nothing snapped.
+    The zero polynomial scans no grid and takes no step.
+    """
+
+    grid_resolution: int
+    grid_points: int
+    iterations: int
+    stop_reason: str
+    starts_converged: int
+    phase: str
+    snap_denominator: Optional[int]
+
+
+@dataclass(frozen=True)
 class LagrangianResult:
     """Output of :func:`maximize`.
 
@@ -135,7 +166,7 @@ class LagrangianResult:
     at the reported ``maximizer``, the largest deviation of an
     active-coordinate partial derivative from the common value
     x . grad(x), with inactive coordinates contributing only upward
-    violations.
+    violations.  ``stats`` is not part of :meth:`to_json_dict`.
     """
 
     value: float
@@ -144,6 +175,7 @@ class LagrangianResult:
     kkt_residual: float
     starts_used: int
     grid_lower_bound: float
+    stats: MaximizeStats
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,51 +187,50 @@ class LagrangianResult:
         }
 
 
-def _kkt_residual(x: np.ndarray, g: np.ndarray) -> float:
-    c = float(np.dot(x, g))
-    active = x > _ACTIVE_EPS
-    res = 0.0
-    if np.any(active):
-        res = float(np.max(np.abs(g[active] - c)))
-    if np.any(~active):
-        res = max(res, float(np.max(np.clip(g[~active] - c, 0.0, None))))
-    return res
+def _kkt_residuals(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The KKT residual of every row of X, given its gradient row in G."""
+    deviation = G - np.einsum("ij,ij->i", X, G)[:, None]
+    active = X > _ACTIVE_EPS
+    return np.where(active, np.abs(deviation), np.clip(deviation, 0.0, None)).max(axis=1)
 
 
-def _mirror_ascent(kernel: PolyKernel, x0: np.ndarray, tol: float, max_iter: int = 2500):
-    x = np.clip(x0, 1e-300, None)
-    x = x / x.sum()
-    fx = kernel.value(x)
-    step = 1.0
-    stalled = 0
-    anchor = fx
-    for it in range(max_iter):
-        g = kernel.gradient(x)
-        residual = _kkt_residual(x, g)
-        if residual <= tol:
-            break
-        if it % 50 == 0:
-            # sublinear crawls toward a face plateau are not worth finishing
-            if it > 0 and fx - anchor < 1e-11:
-                break
-            anchor = fx
-        step = min(step * 2.0, 1e8)
-        improved = False
-        while step >= 1e-16:
-            # multiplicative-weights step; shift keeps the exp bounded
-            y = x * np.exp(step * (g - g.max()))
-            y = y / y.sum()
-            fy = kernel.value(y)
-            if fy > fx:
-                gain = fy - fx
-                x, fx = y, fy
-                improved = True
-                stalled = stalled + 1 if gain < 1e-16 else 0
-                break
-            step *= 0.5
-        if not improved or stalled >= 25:
-            break
-    return x, fx
+def _growth_step(kernel: PolyKernel, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """One Baum–Eagon step x_i <- x_i (g_i + K) / (x . g + K) on every row.
+
+    g + K is the gradient of the homogenized polynomial, which has no
+    negative coefficient, so no row's value decreases; the clip only
+    removes rounding below zero.  A row with no growth direction stays.
+    """
+    W = X * np.clip(G + kernel.homogenizing_shift(X)[:, None], 0.0, None)
+    total = W.sum(axis=1, keepdims=True)
+    return np.divide(W, total, out=X.copy(), where=total > 0)
+
+
+def _growth_ascent(kernel: PolyKernel, X: np.ndarray, tol: float, max_iter: int):
+    """Growth steps on all rows of X until every row is a KKT point within
+    ``tol``, the best row stalls, or ``max_iter`` steps.
+
+    Returns (points, values, steps taken, stop reason, rows within tol).
+    """
+    best = -np.inf
+    risen_at = 0
+    for it in range(max_iter + 1):
+        F = kernel.values(X)
+        G = kernel.gradients(X)
+        converged = _kkt_residuals(X, G) <= tol
+        top = float(F.max())
+        if top > best + PLATEAU_RISE:
+            best, risen_at = top, it
+        if converged.all():
+            reason = "tol"
+        elif it - risen_at >= PLATEAU_ITERATIONS:
+            reason = "plateau"
+        elif it == max_iter:
+            reason = "cap"
+        else:
+            X = _growth_step(kernel, X, G)
+            continue
+        return X, F, it, reason, int(converged.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +251,8 @@ def grid_oracle(
 
     Grid points have coordinates k_i / resolution with sum k_i = resolution.
     Integer-safe inputs are scanned in exact int64 arithmetic; otherwise a
-    float scan selects near-maximal candidates that are re-evaluated exactly.
+    float scan of each block picks near-maximal rows, which are re-evaluated
+    exactly before the next block.
     """
     if poly.m < 1:
         raise InvalidArgumentError("grid oracle needs at least one variable")
@@ -240,8 +272,9 @@ def grid_oracle(
 
     # Float scan for candidates: every grid point whose float value is within
     # the scan's rounding error (a few ulps per term and factor, relative to
-    # sum |c_S|) of the float maximum.  Candidates are then scanned again with
-    # exact Python integers.
+    # sum |c_S|) of the running float maximum.  Each block's candidates are
+    # scanned again with exact Python integers; the running float maximum
+    # only rises, so every exact maximizer is among them.
     count = _grid.composition_count(resolution, poly.m)
     cap = effective_budget(budget)
     if count > cap:
@@ -249,16 +282,18 @@ def grid_oracle(
     magnitude = sum(abs(c) for c in kernel.float_coefs)
     slack = 1e-9 + (len(coefs) + 2 * kernel.degree + 2) * 2.0**-52 * magnitude
     best_float = -np.inf
-    near: list[tuple[np.ndarray, np.ndarray]] = []
+    best_exact = None
     for block in _grid.iter_composition_blocks(resolution, poly.m):
         vals = kernel.batch(block.astype(float) / resolution, kernel.float_coefs)
         best_float = max(best_float, float(vals.max()))
-        keep = vals >= best_float - slack
-        near.append((block[keep], vals[keep]))
-    candidates = np.vstack([rows[vals >= best_float - slack] for rows, vals in near])
-    exact = kernel.batch(candidates.astype(object), coefs)
-    k = int(np.argmax(exact))  # first maximum: candidates are in lex order
-    return GridResult(Fraction(exact[k], scale), _grid_point(candidates[k], resolution))
+        candidates = block[vals >= best_float - slack]
+        if not len(candidates):
+            continue
+        exact = kernel.batch(candidates.astype(object), coefs)
+        k = int(np.argmax(exact))  # first maximum: blocks are in lex order
+        if best_exact is None or exact[k] > best_exact:
+            best_exact, best_row = exact[k], candidates[k]
+    return GridResult(Fraction(best_exact, scale), _grid_point(best_row, resolution))
 
 
 def _grid_point(row: Sequence[int], resolution: int) -> SimplexPoint:
@@ -281,14 +316,21 @@ def maximize(
     """Best-effort global maximum of ``poly`` over the standard simplex.
 
     Deterministic for a fixed seed: the first start is the uniform point and
-    the rest are Dirichlet(1) samples.  The reported value is the best of
-    all ascent runs and the exact grid enumeration; ties between maximizers
-    break toward the lexicographically smallest coordinate vector.
+    the rest are Dirichlet(1) samples.  All starts ascend together as one
+    batch of growth-transform steps (see the module docstring) until every
+    start is a KKT point within ``tol``, the best start has stalled, or
+    ``max_iter`` steps.  The reported value is the best start's or the
+    exact grid enumeration's, whichever is higher; ties between starts
+    break toward the lexicographically smallest coordinate vector.  A value
+    near a small-denominator rational is snapped and reported in ``exact``
+    only when exact evaluation at a snapped point reproduces it.
     """
     if poly.m < 1:
         raise InvalidArgumentError("maximize needs at least one variable")
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
+    if max_iter < 0:
+        raise InvalidArgumentError("max_iter must be >= 0")
     m = poly.m
     if starts is None:
         starts = max(50, 10 * m)
@@ -304,6 +346,7 @@ def maximize(
             kkt_residual=0.0,
             starts_used=0,
             grid_lower_bound=0.0,
+            stats=MaximizeStats(0, 0, 0, "tol", 0, "ascent", None),
         )
 
     resolution = grid_resolution if grid_resolution is not None else _auto_resolution(m)
@@ -312,40 +355,55 @@ def maximize(
 
     kernel = poly.kernel
     rng = np.random.default_rng(seed)
-    best_x: np.ndarray | None = None
-    best_f = -np.inf
-    for k in range(starts):
-        x0 = np.full(m, 1.0 / m) if k == 0 else rng.dirichlet(np.ones(m))
-        x, fx = _mirror_ascent(kernel, x0, tol, max_iter=max_iter)
-        better = fx > best_f + 1e-15
-        tie = abs(fx - best_f) <= 1e-15 and best_x is not None and tuple(x) < tuple(best_x)
-        if best_x is None or better or tie:
-            best_x, best_f = x, fx
+    uniform = np.full((1, m), 1.0 / m)
+    X = np.vstack([uniform, rng.dirichlet(np.ones(m), size=starts - 1)])
+    X = np.clip(X, 1e-300, None)
+    X /= X.sum(axis=1, keepdims=True)
+    X, F, iterations, stop_reason, converged = _growth_ascent(kernel, X, tol, max_iter)
 
-    assert best_x is not None
-    value = best_f
+    best = 0
+    for k in range(1, starts):
+        fx, best_f = F[k], F[best]
+        tie = abs(fx - best_f) <= 1e-15 and tuple(X[k]) < tuple(X[best])
+        if fx > best_f + 1e-15 or tie:
+            best = k
+    best_x = X[best]
+    value = float(F[best])
+    phase = "ascent"
     maximizer = SimplexPoint(best_x.tolist())
     if grid_float > value:
-        value = grid_float
+        value, phase = grid_float, "grid"
         maximizer = SimplexPoint(grid.point.as_float_array().tolist())
 
     exact = None
+    snap_denominator = None
     snapped = _snap(poly, value, best_x)
     if snapped is None and Fraction(value).limit_denominator(SNAP_DENOMINATOR) == grid.value:
         # the grid point itself attains the snapped value exactly
         snapped = (grid.value, grid.point.as_fractions())
     if snapped is not None:
         exact, point = snapped
-        value = max(value, float(exact))
+        if float(exact) > value:
+            value, phase = float(exact), "snap"
         maximizer = SimplexPoint([float(v) for v in point])
-    x = maximizer.as_float_array()
+        snap_denominator = math.lcm(*(c.denominator for c in point))
+    x = maximizer.as_float_array()[None]
     return LagrangianResult(
         value=value,
         exact=exact,
         maximizer=maximizer,
-        kkt_residual=_kkt_residual(x, kernel.gradient(x)),
+        kkt_residual=float(_kkt_residuals(x, kernel.gradients(x))[0]),
         starts_used=starts,
         grid_lower_bound=grid_float,
+        stats=MaximizeStats(
+            grid_resolution=resolution,
+            grid_points=_grid.composition_count(resolution, m),
+            iterations=iterations,
+            stop_reason=stop_reason,
+            starts_converged=converged,
+            phase=phase,
+            snap_denominator=snap_denominator,
+        ),
     )
 
 

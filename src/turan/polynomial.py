@@ -337,6 +337,11 @@ class SymmetricDecomposition:
         return self.p1 + self.p2 * (xi + xj) + self.p3 * xi * xj
 
 
+#: Largest gathered (rows, terms, degree) array of the batched float
+#: methods; bigger batches are processed in chunks of rows.
+_CHUNK_ELEMENTS = 1 << 20
+
+
 class PolyKernel:
     """A polynomial compiled once into numpy index arrays.
 
@@ -344,8 +349,11 @@ class PolyKernel:
     ascending.  The gradient takes, for every (term, position) pair in the
     same degree-then-position order, the product of the term's other
     variables and accumulates them with one ``bincount``, which adds in
-    that order.  :meth:`batch` scans blocks of integer rows one term column
-    at a time, so memory stays at a few block-length vectors.
+    that order.  :meth:`values` and :meth:`gradients` do the same for every
+    row of an (S, m) float array, a chunk of rows at a time; a gradient row
+    adds its pairs in the same order as :meth:`gradient`.  :meth:`batch`
+    scans blocks of integer rows one term column at a time, so memory stays
+    at a few block-length vectors.
     """
 
     def __init__(self, poly: MultilinearPoly):
@@ -370,6 +378,15 @@ class PolyKernel:
             self.partials.append((np.vstack(others), np.tile(coefs, d)))
             targets.extend(idx[:, pos] for pos in range(d))
         self.targets = np.concatenate(targets) if targets else None
+        self._row_width = max(1, sum(idx.size * idx.shape[1] for idx, _ in self.groups))
+        # p + C (sum x)^deg, homogenized, has no negative coefficient
+        negative = -sum(min(c, 0.0) for c in self.float_coefs)
+        self._shift_constant = (self.constant + negative) * self.degree
+        self._shift_groups = [
+            (idx, coefs * (self.degree - idx.shape[1]))
+            for idx, coefs in self.groups
+            if idx.shape[1] < self.degree
+        ]
 
     def value(self, x: np.ndarray) -> float:
         total = self.constant
@@ -382,6 +399,52 @@ class PolyKernel:
             return np.zeros(self.m)
         terms = [coefs * np.prod(x[others], axis=1) for others, coefs in self.partials]
         return np.bincount(self.targets, weights=np.concatenate(terms), minlength=self.m)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Float values at every row of an (S, m) array."""
+        return self._sums(X, self.groups, self.constant)
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        """Float gradients at every row of an (S, m) array, as an (S, m) array."""
+        out = np.zeros(X.shape)
+        if self.targets is None:
+            return out
+        for rows in self._chunks(X.shape[0]):
+            block = X[rows]
+            n = block.shape[0]
+            terms = np.concatenate(
+                [coefs * np.prod(block[:, others], axis=2) for others, coefs in self.partials],
+                axis=1,
+            )
+            # row k's pairs land in bins k*m .. k*m + m - 1, added in pair order
+            bins = (np.arange(n)[:, None] * self.m + self.targets).ravel()
+            out[rows] = np.bincount(
+                bins, weights=terms.ravel(), minlength=n * self.m
+            ).reshape(n, self.m)
+        return out
+
+    def homogenizing_shift(self, X: np.ndarray) -> np.ndarray:
+        """Per-row K with grad q = grad p + K at every simplex row of X.
+
+        q = sum_S c_S x^S (sum x)^(deg - |S|) + C (sum x)^deg, where C is the
+        sum of |c_S| over negative coefficients, is p + C homogenized to the
+        full degree, with no negative coefficient.  So K = C deg +
+        sum_S c_S (deg - |S|) x^S; it is exactly 0 for a homogeneous
+        polynomial with nonnegative coefficients, such as an edge polynomial.
+        """
+        return self._sums(X, self._shift_groups, self._shift_constant)
+
+    def _sums(self, X: np.ndarray, groups, constant: float) -> np.ndarray:
+        out = np.full(X.shape[0], constant)
+        for rows in self._chunks(X.shape[0]):
+            block = X[rows]
+            for idx, coefs in groups:
+                out[rows] += np.prod(block[:, idx], axis=2) @ coefs
+        return out
+
+    def _chunks(self, count: int):
+        step = max(1, _CHUNK_ELEMENTS // self._row_width)
+        return (slice(start, start + step) for start in range(0, count, step))
 
     def integer_coefficients(self, total: int) -> tuple[list[int], int]:
         """Integer coefficients for a :meth:`batch` over rows summing to ``total``.

@@ -321,6 +321,14 @@ class TestCopyAndPickle:
             assert clone == graph and hash(clone) == hash(graph)
             assert (clone.r, clone.n, clone.edges) == (graph.r, graph.n, graph.edges)
 
+    def test_edge_set_cached_and_not_carried(self):
+        graph = gamma(3)
+        assert graph.edge_set == frozenset(graph.edges)
+        assert graph.edge_set is graph.edge_set
+        for clone in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+            assert not hasattr(clone, "_edge_set")
+            assert clone.edge_set == graph.edge_set
+
     def test_clone_stays_immutable(self):
         clone = pickle.loads(pickle.dumps(K4))
         with pytest.raises(AttributeError):

@@ -1,11 +1,13 @@
 """Simplex optimizer, grid oracle, segment certificates, profile fits."""
 
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turan import (
     AsymmetryError,
@@ -26,7 +28,9 @@ from turan import (
     tight_cycle,
     verify_segment,
 )
+from turan import _grid
 from turan.constructions import crossed_blowup, double_vertex
+from turan.lagrangian import _growth_step
 from turan.verify import permute_point
 
 K4 = Hypergraph.complete(3, 4)
@@ -186,6 +190,93 @@ class TestMaximize:
                 MultilinearPoly.from_hypergraph(double_vertex(base, w)), starts=30
             )
             assert abs(a.value - b.value) <= 2e-9
+
+
+def random_signed_poly(rng, m):
+    """Rational coefficients in [-3, 3] on random terms of degree 0 to 4."""
+    terms = {}
+    for _ in range(int(rng.integers(3, 12))):
+        size = int(rng.integers(0, min(m, 4) + 1))
+        subset = tuple(sorted(int(i) for i in rng.choice(m, size, replace=False)))
+        terms[subset] = frac(int(rng.integers(-36, 37)), 12)
+    return MultilinearPoly(m, terms)
+
+
+SIGNED_POLYS = [
+    random_signed_poly(np.random.default_rng(seed), m)
+    for seed, m in enumerate((3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7))
+]
+
+
+class TestGrowthAscent:
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_no_row_decreases(self, data, seed):
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(2, 7))
+        if data.draw(st.booleans()):
+            edges = [e for e in itertools.combinations(range(m), 3) if rng.random() < 0.5]
+            poly = MultilinearPoly(m, {e: 1 for e in edges})
+        else:
+            poly = random_signed_poly(rng, m)
+        kernel = poly.kernel
+        X = rng.dirichlet(np.ones(m), size=20)
+        slack = 1e-14 * (1 + sum(abs(c) for c in kernel.float_coefs))
+        for _ in range(30):
+            Y = _growth_step(kernel, X, kernel.gradients(X))
+            np.testing.assert_allclose(Y.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert (Y >= 0).all()
+            assert (kernel.values(Y) >= kernel.values(X) - slack).all()
+            X = Y
+
+    @pytest.mark.parametrize("poly", SIGNED_POLYS, ids=lambda p: f"m{p.m}t{len(p.terms)}")
+    def test_signed_never_below_grid(self, poly):
+        result = maximize(poly, seed=1)
+        grid = grid_oracle(poly, 12)
+        assert result.value >= float(grid.value) - 1e-12
+
+    @pytest.mark.parametrize(
+        "graph, bound",
+        [(crossed_blowup(tight_cycle(5), (3, 4)), 150), (gamma(2), 120)],
+        ids=["crossed-C5", "gamma(2)"],
+    )
+    def test_iteration_count_bound(self, graph, bound):
+        # 92 and 64 batch steps at seed 0; a slower ascent shows here first
+        stats = maximize(MultilinearPoly.from_hypergraph(graph)).stats
+        assert stats.iterations <= bound
+
+
+class TestMaximizeStats:
+    def test_fields(self):
+        poly = MultilinearPoly.from_hypergraph(gamma(2))
+        result = maximize(poly, starts=20, grid_resolution=10)
+        stats = result.stats
+        assert stats.grid_resolution == 10
+        assert stats.grid_points == _grid.composition_count(10, poly.m)
+        assert stats.stop_reason in ("tol", "plateau", "cap")
+        assert 0 <= stats.starts_converged <= 20
+        assert stats.phase in ("ascent", "grid", "snap")
+        assert result.exact is not None
+        for c in result.maximizer:
+            assert (Fraction(c).limit_denominator(10**6) * stats.snap_denominator).denominator == 1
+        hash(result)
+        assert "stats" not in result.to_json_dict()
+
+    def test_cap_and_tol(self):
+        capped = maximize(P_K4, starts=5, max_iter=3)
+        assert capped.stats.iterations == 3 and capped.stats.stop_reason == "cap"
+        converged = maximize(P_K4, starts=5)
+        assert converged.stats.stop_reason == "tol"
+        assert converged.stats.starts_converged == 5
+
+    def test_grid_phase(self):
+        # with no ascent step, the grid's exact 1/16 beats every start
+        result = maximize(MultilinearPoly.from_hypergraph(gamma(2)), starts=3, max_iter=0)
+        assert result.stats.phase == "grid" and result.value == 0.0625
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            maximize(P_K4, max_iter=-1)
 
 
 def gamma_lagrangian_for(graph):

@@ -21,6 +21,7 @@ from turan import (
     grid_oracle,
     tight_cycle,
 )
+from turan import _grid, polynomial
 from turan._grid import iter_composition_blocks
 from turan.constructions import double_vertex
 from turan.polynomial import PolyKernel
@@ -270,6 +271,34 @@ class TestKernelDifferential:
         for k in range(poly.m):
             assert abs(grad[k] - poly.partial(k).evaluate(x)) <= 1e-12
 
+    @given(signed_polys(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_rows_match_single_point(self, poly, rows, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(rows, poly.m))
+        kernel = poly.kernel
+        # a few rows per chunk, so most batches span several chunks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polynomial, "_CHUNK_ELEMENTS", 3 * kernel._row_width)
+            values, grads = kernel.values(X), kernel.gradients(X)
+            shifts = kernel.homogenizing_shift(X)
+        assert values.shape == (rows,) and grads.shape == (rows, poly.m)
+        d = kernel.degree
+        negative = -sum(min(c, 0) for c in poly.terms.values())
+        for x, value, grad, shift in zip(X, values, grads, shifts):
+            assert abs(value - kernel.value(x)) <= 1e-12
+            np.testing.assert_allclose(grad, kernel.gradient(x), rtol=0, atol=1e-12)
+            exact = negative * d + sum(
+                c * (d - len(s)) * np.prod([Fraction(x[i]) for i in s])
+                for s, c in poly.terms.items()
+            )
+            assert abs(shift - float(exact)) <= 1e-12
+
+    def test_edge_polynomial_shift_is_zero(self):
+        X = np.random.default_rng(3).dirichlet(np.ones(8), size=20)
+        kernel = MultilinearPoly.from_hypergraph(gamma(4)).kernel
+        assert not kernel.homogenizing_shift(X).any()
+
     @given(signed_polys(), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
     def test_int64_batch_is_scaled_exact(self, poly, total):
@@ -287,6 +316,14 @@ class TestKernelDifferential:
     def test_float_grid_oracle_matches_enumeration(self, poly, resolution):
         with mock.patch.object(PolyKernel, "fits_int64", return_value=False):
             value, point = grid_oracle(poly, resolution)
+            # blocks of a few rows: the running best must carry across blocks
+            blocks = _grid.iter_composition_blocks
+
+            def small_blocks(total, parts, _limit=None, *rest):
+                return blocks(total, parts, 3, *rest)
+
+            with mock.patch.object(_grid, "iter_composition_blocks", small_blocks):
+                assert grid_oracle(poly, resolution) == (value, point)
         best_value, best_row = None, None
         for row in itertools.product(range(resolution + 1), repeat=poly.m):
             if sum(row) != resolution:
