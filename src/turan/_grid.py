@@ -1,4 +1,4 @@
-"""Vectorized enumeration of integer compositions and polynomial scans.
+"""Vectorized enumeration of integer compositions.
 
 Compositions of ``total`` into ``parts`` nonnegative parts are generated in
 lexicographic order as numpy blocks, so "first maximum found" always means
@@ -8,11 +8,11 @@ lexicographic order as numpy blocks, so "first maximum found" always means
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .common import BudgetExceededError, InvalidArgumentError, effective_budget
+from .common import InvalidArgumentError
 
 _BLOCK_LIMIT = 1 << 20
 
@@ -77,35 +77,4 @@ def iter_composition_blocks(
         yield from iter_composition_blocks(
             total - v, parts - 1, block_limit, table, _prefix + (v,)
         )
-
-
-def scan_compositions(
-    total: int,
-    parts: int,
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    budget: int | None = None,
-    what: str = "composition scan",
-) -> tuple[object, tuple[int, ...]]:
-    """Maximize ``evaluate`` over all compositions; returns (value, row).
-
-    ``evaluate`` maps a (k, parts) int64 block to a length-k value array.
-    Ties break toward the lexicographically smallest composition.
-    """
-    count = composition_count(total, parts)
-    cap = effective_budget(budget)
-    if count > cap:
-        raise BudgetExceededError(
-            f"{what} needs {count} points, budget is {cap}"
-        )
-    best_value = None
-    best_row: tuple[int, ...] | None = None
-    for block in iter_composition_blocks(total, parts):
-        values = evaluate(block)
-        k = int(np.argmax(values))
-        value = values[k]
-        if best_value is None or value > best_value:
-            best_value = value
-            best_row = tuple(int(x) for x in block[k])
-    assert best_row is not None
-    return best_value, best_row
 

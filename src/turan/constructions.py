@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _grid
 from .common import (
     BudgetExceededError,
     InvalidArgumentError,
@@ -338,25 +337,21 @@ def extremal_blowup_search(
 def _exhaustive_search(graph, n, budget):
     kernel = MultilinearPoly.from_hypergraph(graph).kernel
     # every edge term has degree r and coefficient 1, so rows scan to counts
-    coefs, _ = kernel.integer_coefficients(n)
-    if not kernel.fits_int64(coefs, n):  # pragma: no cover - huge inputs
-        raise InvalidArgumentError("size vector scan would overflow int64")
-    best, row = _grid.scan_compositions(
-        n,
-        graph.n,
-        lambda block: kernel.batch(block, coefs),
-        budget=budget,
-        what="exhaustive blowup search",
-    )
-    return row, int(best)
+    best, row, _ = kernel.scan(n, budget, "exhaustive blowup search")
+    return row, best
 
 
 def _local_search(graph, n, seed, restarts):
     poly = MultilinearPoly.from_hypergraph(graph)
+    kernel = poly.kernel
     m = graph.n
     result = maximize(poly, starts=max(20, 5 * m), seed=seed)
     target = result.maximizer.as_float_array() * n
     rng = np.random.default_rng(seed)
+    # one row per unit transfer e_dst - e_src, in (src, dst) order
+    src, dst = np.nonzero(~np.eye(m, dtype=bool))
+    unit = np.eye(m, dtype=np.int64)
+    moves = unit[dst] - unit[src]
 
     def round_to_composition(weights: np.ndarray) -> list[int]:
         floors = np.floor(weights).astype(int)
@@ -375,30 +370,19 @@ def _local_search(graph, n, seed, restarts):
         return [int(v) for v in floors]
 
     def ascend(sizes: list[int]) -> tuple[tuple[int, ...], int]:
-        current = list(sizes)
-        value = blowup_edge_count(BlowupSpec(graph, tuple(current)))
+        # edge polynomial: exact_values are edge counts
+        current = np.array(sizes, dtype=np.int64)
+        value = kernel.exact_values(current[None, :], n)[0]
         while True:
-            best_gain, best_move = 0, None
-            for src in range(m):
-                if current[src] == 0:
-                    continue
-                for dst in range(m):
-                    if dst == src:
-                        continue
-                    current[src] -= 1
-                    current[dst] += 1
-                    candidate = blowup_edge_count(BlowupSpec(graph, tuple(current)))
-                    current[src] += 1
-                    current[dst] -= 1
-                    gain = candidate - value
-                    if gain > best_gain:
-                        best_gain, best_move = gain, (src, dst)
-            if best_move is None:
-                return tuple(current), value
-            src, dst = best_move
-            current[src] -= 1
-            current[dst] += 1
-            value += best_gain
+            rows = (current + moves)[current[src] > 0]
+            if not len(rows):
+                break
+            values = kernel.exact_values(rows, n)
+            k = int(np.argmax(values))  # first best move in (src, dst) order
+            if values[k] <= value:
+                break
+            current, value = rows[k], values[k]
+        return tuple(int(v) for v in current), int(value)
 
     best_sizes, best_value = ascend(round_to_composition(target))
     for _ in range(max(0, restarts - 1)):

@@ -269,6 +269,10 @@ class Hypergraph(Frozen):
                 if len(values) != 2:
                     raise ParseError("header must be 'r n'", line=lineno)
                 header = (values[0], values[1])
+                if header[0] < 1 or header[1] < 0:
+                    raise ParseError(
+                        f"header 'r n' needs r >= 1 and n >= 0, got {line!r}", line=lineno
+                    )
                 continue
             try:
                 edges.append(_canonical_edge(values, *header))

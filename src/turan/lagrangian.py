@@ -22,11 +22,9 @@ import numpy as np
 from . import _grid
 from .common import (
     AsymmetryError,
-    BudgetExceededError,
     Frozen,
     InvalidArgumentError,
     PreconditionError,
-    effective_budget,
 )
 from .polynomial import MultilinearPoly, PolyKernel
 
@@ -249,55 +247,16 @@ def grid_oracle(
 ) -> GridResult:
     """Exact maximum of ``poly`` over the simplex grid with the given resolution.
 
-    Grid points have coordinates k_i / resolution with sum k_i = resolution.
-    Integer-safe inputs are scanned in exact int64 arithmetic; otherwise a
-    float scan of each block picks near-maximal rows, which are re-evaluated
-    exactly before the next block.
+    Grid points have coordinates k_i / resolution with sum k_i = resolution;
+    the scan is :meth:`PolyKernel.scan`, exact in int64 or Python integers.
     """
     if poly.m < 1:
         raise InvalidArgumentError("grid oracle needs at least one variable")
     if resolution < 1:
         raise InvalidArgumentError(f"resolution must be >= 1, got {resolution}")
-    kernel = poly.kernel
-    coefs, scale = kernel.integer_coefficients(resolution)
-    if kernel.fits_int64(coefs, resolution):
-        best, row = _grid.scan_compositions(
-            resolution,
-            poly.m,
-            lambda block: kernel.batch(block, coefs),
-            budget=budget,
-            what="grid oracle",
-        )
-        return GridResult(Fraction(int(best), scale), _grid_point(row, resolution))
-
-    # Float scan for candidates: every grid point whose float value is within
-    # the scan's rounding error (a few ulps per term and factor, relative to
-    # sum |c_S|) of the running float maximum.  Each block's candidates are
-    # scanned again with exact Python integers; the running float maximum
-    # only rises, so every exact maximizer is among them.
-    count = _grid.composition_count(resolution, poly.m)
-    cap = effective_budget(budget)
-    if count > cap:
-        raise BudgetExceededError(f"grid oracle needs {count} points, budget is {cap}")
-    magnitude = sum(abs(c) for c in kernel.float_coefs)
-    slack = 1e-9 + (len(coefs) + 2 * kernel.degree + 2) * 2.0**-52 * magnitude
-    best_float = -np.inf
-    best_exact = None
-    for block in _grid.iter_composition_blocks(resolution, poly.m):
-        vals = kernel.batch(block.astype(float) / resolution, kernel.float_coefs)
-        best_float = max(best_float, float(vals.max()))
-        candidates = block[vals >= best_float - slack]
-        if not len(candidates):
-            continue
-        exact = kernel.batch(candidates.astype(object), coefs)
-        k = int(np.argmax(exact))  # first maximum: blocks are in lex order
-        if best_exact is None or exact[k] > best_exact:
-            best_exact, best_row = exact[k], candidates[k]
-    return GridResult(Fraction(best_exact, scale), _grid_point(best_row, resolution))
-
-
-def _grid_point(row: Sequence[int], resolution: int) -> SimplexPoint:
-    return SimplexPoint([Fraction(int(k), resolution) for k in row])
+    best, row, scale = poly.kernel.scan(resolution, budget, "grid oracle")
+    point = SimplexPoint([Fraction(k, resolution) for k in row])
+    return GridResult(Fraction(best, scale), point)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .common import AsymmetryError, Frozen, InvalidArgumentError, SplitMismatchError
+from . import _grid
+from .common import (
+    AsymmetryError,
+    BudgetExceededError,
+    Frozen,
+    InvalidArgumentError,
+    SplitMismatchError,
+    effective_budget,
+)
 
 Term = tuple[int, ...]
 
@@ -353,7 +361,9 @@ class PolyKernel:
     row of an (S, m) float array, a chunk of rows at a time; a gradient row
     adds its pairs in the same order as :meth:`gradient`.  :meth:`batch`
     scans blocks of integer rows one term column at a time, so memory stays
-    at a few block-length vectors.
+    at a few block-length vectors.  :meth:`scan` is the one exact scan over
+    every integer composition, and :meth:`exact_values` scores chosen
+    integer rows the same way; both pick int64 or exact Python integers.
     """
 
     def __init__(self, poly: MultilinearPoly):
@@ -481,3 +491,53 @@ class PolyKernel:
             else:
                 out += c
         return out
+
+    def exact_values(self, rows: np.ndarray, total: int) -> np.ndarray:
+        """Exact scaled values (see :meth:`integer_coefficients`) at integer
+        rows summing to ``total``: int64 when that cannot overflow, else
+        Python integers."""
+        coefs, _ = self.integer_coefficients(total)
+        dtype = np.int64 if self.fits_int64(coefs, total) else object
+        return self.batch(rows.astype(dtype), coefs)
+
+    def scan(
+        self, total: int, budget: int | None, what: str
+    ) -> tuple[int, tuple[int, ...], int]:
+        """Exact maximum over every composition of ``total`` into m parts.
+
+        A row k scores the integer L * total**deg * p(k / total) (see
+        :meth:`integer_coefficients`); ties break toward the
+        lexicographically smallest row.  Returns (the maximum score, its
+        row, the scale L * total**deg).  Integer-safe inputs are scanned in
+        int64.  Otherwise a float scan of each block keeps every row within
+        the scan's rounding error (a few ulps per term and factor, relative
+        to sum |c_S|) of the running float maximum and rescans those with
+        exact Python integers; the running float maximum only rises, so
+        every exact maximizer is kept.  Raises BudgetExceededError, naming
+        the scan ``what``, when there are more compositions than the budget.
+        """
+        count = _grid.composition_count(total, self.m)
+        cap = effective_budget(budget)
+        if count > cap:
+            raise BudgetExceededError(f"{what} needs {count} points, budget is {cap}")
+        coefs, scale = self.integer_coefficients(total)
+        in_int64 = self.fits_int64(coefs, total)
+        magnitude = sum(abs(c) for c in self.float_coefs)
+        slack = 1e-9 + (len(coefs) + 2 * self.degree + 2) * 2.0**-52 * magnitude
+        best_float = -np.inf
+        best = best_row = None
+        for block in _grid.iter_composition_blocks(total, self.m):
+            if in_int64:
+                candidates = block
+            else:
+                floats = self.batch(block.astype(float) / max(total, 1), self.float_coefs)
+                best_float = max(best_float, float(floats.max()))
+                candidates = block[floats >= best_float - slack].astype(object)
+                if not len(candidates):
+                    continue
+            values = self.batch(candidates, coefs)
+            k = int(np.argmax(values))  # first maximum: blocks are in lex order
+            if best is None or values[k] > best:
+                # a copy, so the block is not kept alive
+                best, best_row = int(values[k]), tuple(int(v) for v in candidates[k])
+        return best, best_row, scale

@@ -450,12 +450,14 @@ def check_property_suites(seed: int = 0) -> list[CheckResult]:
         _result("complete-graph upper bound holds on 3000 exact samples", ok, "")
     )
 
-    # product-of-two identity, exact
+    # product-of-two identity on the package's exact evaluation
     ok = True
+    product = MultilinearPoly.monomial(2, (0, 1))
     for _ in range(200):
         x = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 30)))
         y = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 30)))
-        if x * y != ((x + y) / 2) ** 2 - ((x - y) / 2) ** 2:
+        mid = (x + y) / 2
+        if product.evaluate([x, y]) != product.evaluate([mid, mid]) - ((x - y) / 2) ** 2:
             ok = False
             break
     out.append(_result("xy = ((x+y)/2)^2 - ((x-y)/2)^2 on 200 exact samples", ok, ""))

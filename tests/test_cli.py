@@ -153,6 +153,14 @@ class TestErrorPaths:
         data = json.loads(err)
         assert data["error"] == "parse-error" and "line 2" in data["message"]
 
+    def test_bad_header(self, tmp_path, capsys):
+        path = tmp_path / "bad.hg"
+        path.write_text("3 -1\n")
+        code, _, err = run(capsys, "lagrangian", "--graph", str(path))
+        assert code == 2
+        data = json.loads(err)
+        assert data["error"] == "parse-error" and "line 1" in data["message"]
+
     def test_domain_error(self, tmp_path, capsys):
         path = tmp_path / "thin.hg"
         path.write_text(Hypergraph(3, 4, [(0, 1, 2)]).to_text())

@@ -1,8 +1,10 @@
 """Blowups, crossing operations, the gamma family, counts, density curves."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,9 +33,17 @@ from turan import (
     tight_cycle,
     totient_divisor_sum,
 )
+from turan.polynomial import PolyKernel
 
 K4 = Hypergraph.complete(3, 4)
 TWO_EDGE_BASE = Hypergraph(3, 4, [(0, 2, 3), (1, 2, 3)])
+
+
+def random_3graph(seed: int, n: int) -> Hypergraph:
+    """A fixed 3-graph on n vertices keeping each triple with probability 1/2."""
+    rng = random.Random(seed)
+    triples = itertools.combinations(range(n), 3)
+    return Hypergraph(3, n, [e for e in triples if rng.random() < 0.5])
 
 
 class TestBlowup:
@@ -313,6 +323,29 @@ class TestExtremalSearch:
             _, exhaustive = extremal_blowup_search(base, n)
             _, local = extremal_blowup_search(base, n, mode="local")
             assert local == exhaustive
+
+    @pytest.mark.parametrize("base, n", [(K4, 8), (gamma(2), 12), (K4, 0)])
+    def test_exact_fallback_matches_int64(self, base, n):
+        results = [extremal_blowup_search(base, n, mode=mode) for mode in ("exhaustive", "local")]
+        with mock.patch.object(PolyKernel, "fits_int64", return_value=False):
+            for mode, expected in zip(("exhaustive", "local"), results):
+                sizes, count = extremal_blowup_search(base, n, mode=mode)
+                assert (sizes, count) == expected and type(count) is int
+
+    @pytest.mark.parametrize(
+        "base, n",
+        [(gamma(2), 7), (gamma(2), 25), (gamma(2), 90), (gamma(3), 31), (gamma(4), 60)]
+        + [(random_3graph(seed, v), n) for seed, v, n in ((1, 5, 17), (2, 6, 40), (3, 7, 23))],
+    )
+    def test_local_no_unit_transfer_improves(self, base, n):
+        sizes, count = extremal_blowup_search(base, n, mode="local")
+        assert sum(sizes) == n and count == blowup_edge_count(BlowupSpec(base, sizes))
+        for src, dst in itertools.permutations(range(base.n), 2):
+            if sizes[src]:
+                moved = list(sizes)
+                moved[src] -= 1
+                moved[dst] += 1
+                assert blowup_edge_count(BlowupSpec(base, tuple(moved))) <= count
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

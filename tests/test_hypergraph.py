@@ -270,6 +270,15 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             Hypergraph.from_text("# nothing\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("3 -1\n", 1), ("3 -1\n0 1 2\n", 1), ("0 4\n", 1), ("# r n\n\n-2 5\n1 2\n", 3)],
+    )
+    def test_bad_header_reports_its_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            Hypergraph.from_text(text)
+        assert err.value.line == line and "header" in str(err.value)
+
 
 class TestInvariants:
     @given(hypergraphs())
