@@ -8,6 +8,7 @@ Domain and file errors both emit a one-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -108,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--grid-resolution", type=int, default=None)
+    p.add_argument("--stats", action="store_true",
+                   help="add what the solve did (MaximizeStats) as a 'stats' object")
     common(p)
 
     p = sub.add_parser("blowup", help="materialize an integer blowup")
@@ -164,7 +167,10 @@ def _run(args) -> int:
             grid_resolution=args.grid_resolution,
             seed=args.seed,
         )
-        _emit(_json(result.to_json_dict()), args.out)
+        data = result.to_json_dict()
+        if args.stats:
+            data["stats"] = dataclasses.asdict(result.stats)
+        _emit(_json(data), args.out)
         return 0
 
     if args.command == "blowup":

@@ -513,12 +513,19 @@ def predicted_segment(
 
 @dataclass(frozen=True)
 class SegmentCertificate:
-    """Result of exact sampling along a segment; truthy iff all samples hit."""
+    """Result of exact sampling along a segment; truthy iff all samples hit.
+
+    ``proved`` is set when every sample hit and there were at least
+    ``deg p + 1`` of them: p restricted to the segment is a univariate
+    polynomial of degree at most ``deg p``, so that many distinct exact hits
+    prove it equals the target on the whole segment.
+    """
 
     ok: bool
     failing_alpha: Optional[Fraction]
     samples: int
     target: Fraction
+    proved: bool
 
     def __bool__(self) -> bool:
         return self.ok
@@ -531,7 +538,8 @@ def verify_segment(
     samples: int,
     target,
 ) -> SegmentCertificate:
-    """Exactly check poly == target at equally spaced points of [y, z]."""
+    """Exactly check poly == target at equally spaced points of [y, z];
+    with ``samples >= deg p + 1`` a pass proves it on all of [y, z]."""
     if samples < 2:
         raise InvalidArgumentError("need at least 2 samples (the endpoints)")
     if not (y.exact and z.exact):
@@ -545,8 +553,8 @@ def verify_segment(
             alpha * a + (1 - alpha) * b for a, b in zip(y.as_fractions(), z.as_fractions())
         ]
         if poly.evaluate(point) != goal:
-            return SegmentCertificate(False, alpha, samples, goal)
-    return SegmentCertificate(True, None, samples, goal)
+            return SegmentCertificate(False, alpha, samples, goal, False)
+    return SegmentCertificate(True, None, samples, goal, samples >= poly.degree() + 1)
 
 
 # ---------------------------------------------------------------------------

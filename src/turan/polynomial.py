@@ -349,6 +349,25 @@ class SymmetricDecomposition:
 #: methods; bigger batches are processed in chunks of rows.
 _CHUNK_ELEMENTS = 1 << 20
 
+#: Largest (prefix rows, tail rows) score matrix of one product in
+#: :meth:`PolyKernel.scan`; more prefix rows are scanned in chunks.
+_SCAN_ELEMENTS = 1 << 20
+
+
+def _term_sums(block: np.ndarray, subsets, coefs) -> np.ndarray:
+    """sum of c * prod(block[:, i] for i in S) over the (S, c) pairs at every
+    row, one term column at a time, in the block's dtype."""
+    out = np.zeros(block.shape[0], dtype=block.dtype)
+    for subset, c in zip(subsets, coefs):
+        if subset:
+            prod = block[:, subset[0]].copy()
+            for i in subset[1:]:
+                prod *= block[:, i]
+            out += c * prod
+        else:
+            out += c
+    return out
+
 
 class PolyKernel:
     """A polynomial compiled once into numpy index arrays.
@@ -360,10 +379,11 @@ class PolyKernel:
     that order.  :meth:`values` and :meth:`gradients` do the same for every
     row of an (S, m) float array, a chunk of rows at a time; a gradient row
     adds its pairs in the same order as :meth:`gradient`.  :meth:`batch`
-    scans blocks of integer rows one term column at a time, so memory stays
-    at a few block-length vectors.  :meth:`scan` is the one exact scan over
-    every integer composition, and :meth:`exact_values` scores chosen
-    integer rows the same way; both pick int64 or exact Python integers.
+    scores rows one term column at a time, so memory stays at a few
+    row-length vectors.  :meth:`scan` is the one exact scan over every
+    integer composition, factored into prefix and tail halves, and
+    :meth:`exact_values` scores chosen integer rows with :meth:`batch`;
+    both pick int64 or exact Python integers.
     """
 
     def __init__(self, poly: MultilinearPoly):
@@ -389,6 +409,14 @@ class PolyKernel:
             targets.extend(idx[:, pos] for pos in range(d))
         self.targets = np.concatenate(targets) if targets else None
         self._row_width = max(1, sum(idx.size * idx.shape[1] for idx, _ in self.groups))
+        # scan's factoring: (prefix part T, [(tail part shifted to 0, term)]) per T
+        split = self.m // 2
+        by_head: dict[Term, list] = {}
+        for k, subset in enumerate(self.subsets):
+            head = tuple(i for i in subset if i < split)
+            tail = tuple(i - split for i in subset if i >= split)
+            by_head.setdefault(head, []).append((tail, k))
+        self._scan_groups = tuple(by_head.items())
         # p + C (sum x)^deg, homogenized, has no negative coefficient
         negative = -sum(min(c, 0.0) for c in self.float_coefs)
         self._shift_constant = (self.constant + negative) * self.degree
@@ -481,16 +509,7 @@ class PolyKernel:
         """Values at every row of ``block`` with per-term ``coefs``; the
         result has the block's dtype (int64, float, or object for exact
         Python integers)."""
-        out = np.zeros(block.shape[0], dtype=block.dtype)
-        for subset, c in zip(self.subsets, coefs):
-            if subset:
-                prod = block[:, subset[0]].copy()
-                for i in subset[1:]:
-                    prod *= block[:, i]
-                out += c * prod
-            else:
-                out += c
-        return out
+        return _term_sums(block, self.subsets, coefs)
 
     def exact_values(self, rows: np.ndarray, total: int) -> np.ndarray:
         """Exact scaled values (see :meth:`integer_coefficients`) at integer
@@ -508,13 +527,31 @@ class PolyKernel:
         A row k scores the integer L * total**deg * p(k / total) (see
         :meth:`integer_coefficients`); ties break toward the
         lexicographically smallest row.  Returns (the maximum score, its
-        row, the scale L * total**deg).  Integer-safe inputs are scanned in
-        int64.  Otherwise a float scan of each block keeps every row within
-        the scan's rounding error (a few ulps per term and factor, relative
-        to sum |c_S|) of the running float maximum and rescans those with
-        exact Python integers; the running float maximum only rises, so
-        every exact maximizer is kept.  Raises BudgetExceededError, naming
+        row, the scale L * total**deg).  Raises BudgetExceededError, naming
         the scan ``what``, when there are more compositions than the budget.
+
+        The scan splits a row into a prefix a, its first m // 2 coordinates,
+        and a tail b.  Grouping the terms by their prefix part
+        T = S & [0, m // 2) writes p(a, b) = sum_T a^T q_T(b).  For
+        each tail sum R, M holds the monomials a^T of every prefix
+        composition of total - R, Q the tail polynomials q_T of every tail
+        composition of R, and M @ Q scores all their pairs; its prefix-major
+        flat order is lexicographic order, so its first maximum is the
+        lexicographically first within R.  Across R (and chunks of prefix
+        rows) a row replaces the best when it is greater, or equal and
+        lexicographically smaller.
+
+        Integer-safe inputs are scanned in int64.  Otherwise the same
+        product runs in float on k / total, and the rows within ``slack`` of
+        the running float maximum are rescored with exact Python integers;
+        the running float maximum only rises, so every exact maximizer is
+        kept.  Each term reaches a float score through at most one
+        coefficient rounding, deg coordinate roundings, deg product
+        roundings (M[a, T] times a sum of terms rounds each term alike) and
+        fewer additions than there are terms, in any summation order.  With
+        coordinates in [0, 1], every float score is therefore within
+        (terms + 2 deg) units of roundoff of sum |c_S| of its exact value,
+        under half the slack.
         """
         count = _grid.composition_count(total, self.m)
         cap = effective_budget(budget)
@@ -524,20 +561,49 @@ class PolyKernel:
         in_int64 = self.fits_int64(coefs, total)
         magnitude = sum(abs(c) for c in self.float_coefs)
         slack = 1e-9 + (len(coefs) + 2 * self.degree + 2) * 2.0**-52 * magnitude
+        unit = max(total, 1)
+        split = self.m // 2
+        table = _grid._DenseTable()
         best_float = -np.inf
         best = best_row = None
-        for block in _grid.iter_composition_blocks(total, self.m):
+        for tail_sum in range(total + 1):
+            prefixes = table.dense(total - tail_sum, split)
+            tails = table.dense(tail_sum, self.m - split)
             if in_int64:
-                candidates = block
+                # every partial sum of M @ Q is a sum of some term values, so
+                # the fits_int64 bound covers it
+                M, Q = self._factors(prefixes, tails, coefs)
             else:
-                floats = self.batch(block.astype(float) / max(total, 1), self.float_coefs)
-                best_float = max(best_float, float(floats.max()))
-                candidates = block[floats >= best_float - slack].astype(object)
-                if not len(candidates):
-                    continue
-            values = self.batch(candidates, coefs)
-            k = int(np.argmax(values))  # first maximum: blocks are in lex order
-            if best is None or values[k] > best:
-                # a copy, so the block is not kept alive
-                best, best_row = int(values[k]), tuple(int(v) for v in candidates[k])
+                M, Q = self._factors(prefixes / unit, tails / unit, self.float_coefs)
+            step = max(1, _SCAN_ELEMENTS // len(tails))
+            for start in range(0, len(prefixes), step):
+                scores = M[start : start + step] @ Q
+                if in_int64:
+                    i, j = divmod(int(np.argmax(scores)), len(tails))
+                    row = np.concatenate([prefixes[start + i], tails[j]])
+                    value = int(scores[i, j])
+                else:
+                    best_float = max(best_float, float(scores.max()))
+                    heads, rests = np.nonzero(scores >= best_float - slack)
+                    if not len(heads):
+                        continue
+                    rows = np.hstack([prefixes[start + heads], tails[rests]]).astype(object)
+                    values = self.batch(rows, coefs)
+                    i = int(np.argmax(values))
+                    value, row = int(values[i]), rows[i]
+                row = tuple(int(v) for v in row)
+                if best is None or value > best or (value == best and row < best_row):
+                    best, best_row = value, row
         return best, best_row, scale
+
+    def _factors(
+        self, prefixes: np.ndarray, tails: np.ndarray, coefs: Sequence
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The (prefix rows, groups) monomials M and (groups, tail rows)
+        tail polynomials Q of :meth:`scan`, in the tables' dtype."""
+        M = np.empty((len(prefixes), len(self._scan_groups)), dtype=prefixes.dtype)
+        Q = np.empty((len(self._scan_groups), len(tails)), dtype=tails.dtype)
+        for g, (head, members) in enumerate(self._scan_groups):
+            M[:, g] = _term_sums(prefixes, (head,), (1,))
+            Q[g] = _term_sums(tails, [s for s, _ in members], [coefs[k] for _, k in members])
+        return M, Q

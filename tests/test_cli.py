@@ -1,8 +1,9 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 
-from turan import Hypergraph, gamma, read_hypergraph
+from turan import Hypergraph, MultilinearPoly, gamma, maximize, read_hypergraph
 from turan.cli import main
 
 
@@ -63,6 +64,19 @@ class TestLagrangianCommand:
         assert data["exact"] == "1/25"
         assert set(data) == {"value", "exact", "maximizer", "kkt_residual",
                              "grid_lower_bound"}
+
+    def test_stats_flag(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "g.hg", gamma(2))
+        _, plain, _ = run(capsys, "lagrangian", "--graph", path, "--starts", "20")
+        code, out, _ = run(capsys, "lagrangian", "--graph", path, "--starts", "20",
+                           "--stats")
+        assert code == 0
+        data = json.loads(out)
+        stats = data.pop("stats")
+        assert data == json.loads(plain)
+        expected = maximize(MultilinearPoly.from_hypergraph(gamma(2)), starts=20).stats
+        assert stats == dataclasses.asdict(expected)
+        assert stats["grid_points"] > 0 and stats["phase"] in ("ascent", "grid", "snap")
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_graph(tmp_path, "g.hg", gamma(2))

@@ -324,6 +324,13 @@ class TestExtremalSearch:
             _, local = extremal_blowup_search(base, n, mode="local")
             assert local == exhaustive
 
+    def test_mode_tie_breaks_gamma2_n60(self):
+        # both optimal; exhaustive is the lex-least maximizer, local is the
+        # lex-least of the local optima its restarts reach
+        assert extremal_blowup_search(gamma(2), 60) == ((15, 15, 0, 15, 15, 0), 13500)
+        local = extremal_blowup_search(gamma(2), 60, mode="local")
+        assert local == ((15, 15, 15, 0, 0, 15), 13500)
+
     @pytest.mark.parametrize("base, n", [(K4, 8), (gamma(2), 12), (K4, 0)])
     def test_exact_fallback_matches_int64(self, base, n):
         results = [extremal_blowup_search(base, n, mode=mode) for mode in ("exhaustive", "local")]

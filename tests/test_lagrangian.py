@@ -374,7 +374,19 @@ class TestVerifySegment:
                 11,
                 gamma_lagrangian(t),
             )
-            assert cert and cert.failing_alpha is None
+            assert cert and cert.failing_alpha is None and cert.proved
+
+    def test_proved_needs_degree_plus_one_samples(self):
+        base, pair = Hypergraph.complete(3, 4), (2, 3)
+        first, second = predicted_segment(base, pair, SimplexPoint.uniform(4))
+        poly = MultilinearPoly.from_hypergraph(gamma(2))
+        perm = gamma_permutation(2)
+        ends = permute_point(first, perm), permute_point(second, perm)
+        deg = poly.degree()
+        short = verify_segment(poly, *ends, deg, gamma_lagrangian(2))
+        assert short and not short.proved
+        full = verify_segment(poly, *ends, deg + 1, gamma_lagrangian(2))
+        assert full and full.proved
 
     def test_degenerate_segment(self):
         point = SimplexPoint.uniform(4)
@@ -384,7 +396,7 @@ class TestVerifySegment:
         first = SimplexPoint([frac(1, 2), frac(1, 2), frac(0), frac(0)])
         second = SimplexPoint([frac(0), frac(0), frac(1, 2), frac(1, 2)])
         cert = verify_segment(P_K4, first, second, 5, frac(1, 16))
-        assert not cert
+        assert not cert and not cert.proved
         assert cert.failing_alpha == 0
 
     def test_requires_exact_points(self):

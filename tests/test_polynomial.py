@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 from fractions import Fraction
 from unittest import mock
@@ -22,7 +23,6 @@ from turan import (
     tight_cycle,
 )
 from turan import _grid, polynomial
-from turan._grid import iter_composition_blocks
 from turan.constructions import double_vertex
 from turan.polynomial import PolyKernel
 
@@ -304,25 +304,20 @@ class TestKernelDifferential:
     def test_int64_batch_is_scaled_exact(self, poly, total):
         coefs, scale = poly.kernel.integer_coefficients(total)
         assert poly.kernel.fits_int64(coefs, total)
-        for block in iter_composition_blocks(total, poly.m):
-            values = poly.kernel.batch(block, coefs)
-            assert values.dtype == np.int64
-            for row, value in zip(block, values):
-                point = [Fraction(int(k), total) for k in row]
-                assert Fraction(int(value), scale) == poly.evaluate(point)
+        block = _grid._DenseTable().dense(total, poly.m)
+        values = poly.kernel.batch(block, coefs)
+        assert values.dtype == np.int64
+        for row, value in zip(block, values):
+            point = [Fraction(int(k), total) for k in row]
+            assert Fraction(int(value), scale) == poly.evaluate(point)
 
     @given(signed_polys(max_m=4), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
     def test_float_grid_oracle_matches_enumeration(self, poly, resolution):
         with mock.patch.object(PolyKernel, "fits_int64", return_value=False):
             value, point = grid_oracle(poly, resolution)
-            # blocks of a few rows: the running best must carry across blocks
-            blocks = _grid.iter_composition_blocks
-
-            def small_blocks(total, parts, _limit=None, *rest):
-                return blocks(total, parts, 3, *rest)
-
-            with mock.patch.object(_grid, "iter_composition_blocks", small_blocks):
+            # one prefix row per product: the running best must carry across chunks
+            with mock.patch.object(polynomial, "_SCAN_ELEMENTS", 1):
                 assert grid_oracle(poly, resolution) == (value, point)
         best_value, best_row = None, None
         for row in itertools.product(range(resolution + 1), repeat=poly.m):
@@ -333,6 +328,57 @@ class TestKernelDifferential:
                 best_value, best_row = candidate, row
         assert value == best_value
         assert point.coords == tuple(Fraction(k, resolution) for k in best_row)
+
+
+def brute_force_scan(poly, total):
+    """The lexicographically first maximum of the scaled integer values,
+    over itertools.product in lex order, with Python integers."""
+    coefs, scale = poly.kernel.integer_coefficients(total)
+    best = best_row = None
+    for row in itertools.product(range(total + 1), repeat=poly.m):
+        if sum(row) != total:
+            continue
+        value = sum(
+            c * math.prod(row[i] for i in s) for s, c in zip(poly.kernel.subsets, coefs)
+        )
+        if best is None or value > best:
+            best, best_row = value, row
+    return best, best_row, scale
+
+
+class TestScanDifferential:
+    """PolyKernel.scan against the brute-force lexicographically first maximum."""
+
+    @given(
+        signed_polys(),
+        st.integers(0, 6),
+        st.booleans(),
+        st.sampled_from([1, 2, 5, 1 << 20]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_brute_force(self, poly, total, in_int64, elements):
+        expected = brute_force_scan(poly, total)
+        kernel = PolyKernel(poly)
+        expected_coefs, _ = kernel.integer_coefficients(total)
+        with mock.patch.object(polynomial, "_SCAN_ELEMENTS", elements):
+            if in_int64:
+                assert kernel.fits_int64(expected_coefs, total)
+                got = kernel.scan(total, None, "test scan")
+            else:
+                with mock.patch.object(PolyKernel, "fits_int64", return_value=False):
+                    got = kernel.scan(total, None, "test scan")
+        assert got == expected
+        assert all(type(v) is int for v in (got[0], got[2], *got[1]))
+
+    @given(st.integers(1, 5), st.integers(0, 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_ties_everywhere(self, m, total, in_int64):
+        # a constant polynomial ties on every row: the first row wins
+        poly = MultilinearPoly.constant(m, 3)
+        with mock.patch.object(polynomial, "_SCAN_ELEMENTS", 1):
+            with mock.patch.object(PolyKernel, "fits_int64", return_value=in_int64):
+                got = PolyKernel(poly).scan(total, None, "test scan")
+        assert got == (3, (0,) * (m - 1) + (total,), 1)
 
 
 class TestMultilinearity:
