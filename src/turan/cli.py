@@ -29,7 +29,7 @@ from .homomorphism import search_homomorphism
 from .hypergraph import Hypergraph, read_hypergraph
 from .lagrangian import maximize
 from .polynomial import MultilinearPoly
-from .verify import run_suite
+from .verify import run_criteria
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -153,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", default="all")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
     return parser
 
@@ -258,14 +259,26 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        results = run_suite(args.suite, seed=args.seed)
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'}  {r.name}"
-            + (f"  [{r.detail}]" if r.detail else "")
+        checks = [
+            (criterion, r, seconds)
+            for criterion, results, seconds in run_criteria(args.suite, seed=args.seed)
             for r in results
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0 if all(r.passed for r in results) else 1
+        if args.format == "json":
+            rows = [
+                {"criterion": c, "name": r.name, "passed": r.passed, "detail": r.detail,
+                 "seconds": s}
+                for c, r, s in checks
+            ]
+            _emit(_json(rows), args.out)
+        else:
+            lines = [
+                f"{'PASS' if r.passed else 'FAIL'}  {r.name}"
+                + (f"  [{r.detail}]" if r.detail else "")
+                for _, r, _ in checks
+            ]
+            _emit("\n".join(lines) + "\n", args.out)
+        return 0 if all(r.passed for _, r, _ in checks) else 1
 
     raise TuranError(f"unknown command {args.command!r}")  # pragma: no cover
 

@@ -99,16 +99,13 @@ def blowup(spec: BlowupSpec, budget: int | None = None) -> Hypergraph:
     cap = effective_budget(budget)
     if count > cap:
         raise BudgetExceededError(f"blowup would have {count} edges, budget is {cap}")
-    offsets = []
-    pos = 0
-    for s in spec.part_sizes:
-        offsets.append(pos)
-        pos += s
+    offsets = [0, *itertools.accumulate(spec.part_sizes)]
+    # base edges are sorted and parts are ascending blocks, so every product
+    # tuple is already a sorted edge
     edges = []
     for edge in spec.base.edges:
-        ranges = [range(offsets[v], offsets[v] + spec.part_sizes[v]) for v in edge]
-        edges.extend(itertools.product(*ranges))
-    return Hypergraph(spec.base.r, pos, edges)
+        edges.extend(itertools.product(*[range(offsets[v], offsets[v + 1]) for v in edge]))
+    return Hypergraph._from_canonical(spec.base.r, offsets[-1], edges)
 
 
 def _blowup_shadow_count(spec: BlowupSpec) -> int:

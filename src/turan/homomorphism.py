@@ -182,7 +182,7 @@ def search_homomorphism(source: Hypergraph, target: Hypergraph) -> HomSearchResu
         return HomSearchResult(VertexMap(source.n, target.n, (0,) * source.n), 0)
     if source.r != target.r or target.n == 0:
         return HomSearchResult(None, 0)
-    degrees = [source.degree(v) for v in range(source.n)]
+    degrees = source.degrees()
     order = sorted(range(source.n), key=lambda v: (-degrees[v], v))
     found: list[tuple[int, ...]] = []
 

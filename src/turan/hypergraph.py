@@ -10,6 +10,8 @@ compare equal structurally.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -26,6 +28,11 @@ Edge = tuple[int, ...]
 
 #: Default vertex bound for brute-force isomorphism search.
 ISO_VERTEX_BOUND = 12
+
+#: Lines per batch in the whole-text pass of ``Hypergraph.from_text``.  Kept
+#: small so a batch's row lists are freed before the cyclic garbage collector
+#: promotes them to its oldest generation and then rescans the whole heap.
+_TEXT_CHUNK = 1 << 8
 
 
 class Codegree(NamedTuple):
@@ -86,7 +93,16 @@ class Hypergraph(Frozen):
             raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", tuple(sorted(set(canonical))))
+        # cheap on the ordered runs blowup and from_text supply; groupby drops repeats
+        ordered = itertools.groupby(sorted(canonical))
+        object.__setattr__(self, "edges", tuple(e for e, _ in ordered))
+
+    @classmethod
+    def _from_canonical(cls, r: int, n: int, edges: Iterable[Edge]) -> "Hypergraph":
+        """Build from edges already known to be sorted r-subsets of 0..n-1 (unchecked)."""
+        graph = cls.__new__(cls)
+        graph._fill(r, n, edges)
+        return graph
 
     @property
     def edge_set(self) -> frozenset:
@@ -131,6 +147,11 @@ class Hypergraph(Frozen):
         if not 0 <= v < self.n:
             raise InvalidArgumentError(f"vertex {v} out of range for n={self.n}")
         return sum(1 for e in self.edges if v in e)
+
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, counted in one pass over the edges."""
+        counts = Counter(itertools.chain.from_iterable(self.edges))
+        return [counts[v] for v in range(self.n)]
 
     def covered_vertices(self) -> frozenset:
         """Vertices that belong to at least one edge."""
@@ -248,41 +269,102 @@ class Hypergraph(Frozen):
 
     def to_text(self) -> str:
         """Canonical text form: ``r n`` then one sorted edge per line."""
-        lines = [f"{self.r} {self.n}"]
-        lines.extend(" ".join(str(v) for v in e) for e in self.edges)
-        return "\n".join(lines) + "\n"
+        header = f"{self.r} {self.n}\n"
+        if not self.edges:  # r may be huge when there are no edges
+            return header
+        row = " ".join(["%d"] * self.r) + "\n"
+        return header + (row * len(self.edges)) % tuple(
+            itertools.chain.from_iterable(self.edges)
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
-        header: tuple[int, int] | None = None
-        edges = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            try:
-                values = [int(f) for f in fields]
-            except ValueError:
-                raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
-            if header is None:
-                if len(values) != 2:
-                    raise ParseError("header must be 'r n'", line=lineno)
-                header = (values[0], values[1])
-                if header[0] < 1 or header[1] < 0:
-                    raise ParseError(
-                        f"header 'r n' needs r >= 1 and n >= 0, got {line!r}", line=lineno
-                    )
-                continue
-            try:
-                edges.append(_canonical_edge(values, *header))
-            except InvalidArgumentError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+        """Parse the ``to_text`` form.
+
+        Fields may be separated by any whitespace, ``#`` comment lines and
+        blank lines are skipped, the vertices of a row may come in any
+        order, and repeated edges collapse to one.  Malformed input raises
+        ``ParseError`` naming the first bad line.
+        """
+        lines = text.splitlines()
+        batch = _parse_canonical_rows(lines)
+        if batch is None:
+            r, n, edges = _parse_lines(lines)
+        else:
+            r, n, flat = batch
+            # free the lines before the edge tuples exist, and the flat list
+            # before they are sorted
+            del batch, lines
+            edges = list(zip(*[iter(flat)] * r))
+            del flat
+        return cls._from_canonical(r, n, edges)
+
+
+def _parse_canonical_rows(lines: list[str]) -> Optional[tuple[int, int, list[int]]]:
+    """Header and flat vertex list of a text in canonical form, or None.
+
+    Canonical means edge rows that are all strictly increasing and in
+    range.  Rows are checked a chunk at a time with whole-list builtins.
+    None sends the text to ``_parse_lines``, the one place that raises
+    ``ParseError`` (the header is checked by it here too) and sorts rows,
+    so both paths accept the same texts.
+    """
+    for start, line in enumerate(lines, start=1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            break
+    else:
+        return None
+    r, n, _ = _parse_lines(lines[:start])  # raises on a bad header
+    flat: list[int] = []
+    for lo in range(start, len(lines), _TEXT_CHUNK):
+        rows = [f for f in map(str.split, lines[lo : lo + _TEXT_CHUNK]) if f and f[0][0] != "#"]
+        if not rows:
+            continue
+        if set(map(len, rows)) != {r}:
+            return None
+        try:
+            ints = list(map(int, itertools.chain.from_iterable(rows)))
+        except ValueError:
+            return None
+        for k in range(r - 1):
+            if not all(map(operator.lt, ints[k::r], ints[k + 1 :: r])):
+                return None
+        if min(ints[::r]) < 0 or max(ints[r - 1 :: r]) >= n:
+            return None
+        flat += ints
+    return r, n, flat
+
+
+def _parse_lines(lines: list[str]) -> tuple[int, int, list[Edge]]:
+    """Header and canonical edges, line by line; raises ``ParseError`` on bad input."""
+    header: tuple[int, int] | None = None
+    edges = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
         if header is None:
-            raise ParseError("empty input: missing 'r n' header", line=1)
-        graph = cls.__new__(cls)
-        graph._fill(header[0], header[1], edges)
-        return graph
+            if len(values) != 2:
+                raise ParseError("header must be 'r n'", line=lineno)
+            header = (values[0], values[1])
+            if header[0] < 1 or header[1] < 0:
+                raise ParseError(
+                    f"header 'r n' needs r >= 1 and n >= 0, got {line!r}", line=lineno
+                )
+            continue
+        try:
+            edges.append(_canonical_edge(values, *header))
+        except InvalidArgumentError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    if header is None:
+        raise ParseError("empty input: missing 'r n' header", line=1)
+    return header[0], header[1], edges
 
 
 def _has_clique(graph: Hypergraph, size: int) -> bool:
@@ -337,8 +419,8 @@ def are_isomorphic(
     if h1.r != h2.r or h1.n != h2.n or len(h1.edges) != len(h2.edges):
         return None
     n = h1.n
-    deg1 = [h1.degree(v) for v in range(n)]
-    deg2 = [h2.degree(v) for v in range(n)]
+    deg1 = h1.degrees()
+    deg2 = h2.degrees()
     if sorted(deg1) != sorted(deg2):
         return None
 

@@ -595,7 +595,14 @@ CHECKS = {
 }
 
 
-def run_suite(which: str = "all", seed: int = 0) -> list[CheckResult]:
+def run_criteria(
+    which: str = "all", seed: int = 0
+) -> list[tuple[str, list[CheckResult], float]]:
+    """Run the named criterion, or all of them, in order.
+
+    Returns one ``(criterion, results, seconds)`` triple per criterion, with
+    its elapsed wall time.
+    """
     if which == "all":
         names = list(CHECKS)
     elif which in CHECKS:
@@ -606,7 +613,9 @@ def run_suite(which: str = "all", seed: int = 0) -> list[CheckResult]:
         raise InvalidArgumentError(
             f"unknown suite {which!r}; choose from {['all', *CHECKS]}"
         )
-    results = []
+    out = []
     for name in names:
-        results.extend(CHECKS[name](seed=seed))
-    return results
+        started = time.perf_counter()
+        results = CHECKS[name](seed=seed)
+        out.append((name, results, time.perf_counter() - started))
+    return out

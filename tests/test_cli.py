@@ -147,6 +147,39 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines and all(line.startswith("PASS") for line in lines)
 
+    def test_json_format(self, capsys):
+        code, text, _ = run(capsys, "verify", "--suite", "construction-fidelity")
+        json_code, out, _ = run(
+            capsys, "verify", "--suite", "construction-fidelity", "--format", "json"
+        )
+        rows = json.loads(out)
+        assert code == json_code == 0
+        assert rows and all(
+            list(row) == ["criterion", "name", "passed", "detail", "seconds"] for row in rows
+        )
+        assert {row["criterion"] for row in rows} == {"construction-fidelity"}
+        assert all(row["passed"] is True and row["seconds"] >= 0 for row in rows)
+        assert [row["name"] for row in rows] == [
+            line.split("  ")[1] for line in text.strip().splitlines()
+        ]
+
+    def test_json_format_failure_exit_code(self, capsys, monkeypatch):
+        from turan import verify
+        from turan.verify import CheckResult
+
+        checks = {
+            "good": lambda seed: [CheckResult("fine", True, "")],
+            "bad": lambda seed: [CheckResult("broken", False, "why")],
+        }
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        rows = json.loads(out)
+        assert code == 1
+        assert [(r["criterion"], r["name"], r["passed"], r["detail"]) for r in rows] == [
+            ("good", "fine", True, ""),
+            ("bad", "broken", False, "why"),
+        ]
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")
         assert code == 1

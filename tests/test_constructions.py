@@ -96,6 +96,26 @@ class TestBlowup:
             spec = BlowupSpec(base, tuple(int(rng.integers(0, 4)) for _ in range(n)))
             assert len(blowup(spec).edges) == blowup_edge_count(spec)
 
+    def test_matches_checked_constructor(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            r = rng.randint(1, 4)
+            n = rng.randint(r, 7)
+            universe = list(itertools.combinations(range(n), r))
+            base = Hypergraph(r, n, [e for e in universe if rng.random() < 0.4])
+            sizes = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+            offsets = [sum(sizes[:v]) for v in range(n)]
+            edges = [
+                images
+                for e in base.edges
+                for images in itertools.product(
+                    *(range(offsets[v], offsets[v] + sizes[v]) for v in e)
+                )
+            ]
+            got = blowup(BlowupSpec(base, sizes))
+            assert got == Hypergraph(r, sum(sizes), edges)
+            assert all(type(v) is int for e in got.edges for v in e)
+
     def test_count_is_polynomial_value(self):
         spec = BlowupSpec(gamma(2), (3, 3, 1, 2, 2, 1))
         poly = MultilinearPoly.from_hypergraph(gamma(2))

@@ -1,6 +1,7 @@
 """Homomorphism search against exhaustive and permutation oracles."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from turan import (
     partial_embedding_check,
     search_homomorphism,
 )
+from turan import homomorphism
 
 K4 = Hypergraph.complete(3, 4)
 K5 = Hypergraph.complete(3, 5)
@@ -105,6 +107,27 @@ class TestFindHomomorphism:
             result = search_homomorphism(Hypergraph.complete(3, t + 3), gamma(t))
             assert not result.found
             assert 0 < result.nodes_expanded < scan
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "t, sizes",
+        [(2, (3, 3, 1, 2, 2, 1)), (3, (2, 2, 1, 2, 2, 1, 2)), (3, (4, 0, 2, 1, 3, 2, 4)),
+         (4, (1, 2, 3, 0, 1, 2, 3, 1))],
+    )
+    def test_degree_order_unchanged_on_blowups(self, t, sizes):
+        source = blowup(BlowupSpec(gamma(t), sizes))
+        seen = []
+
+        def spy(source, target, order, record):
+            seen.append(list(order))
+            return real(source, target, order, record)
+
+        real = homomorphism._search
+        with mock.patch.object(homomorphism, "_search", spy):
+            search_homomorphism(source, gamma(t))
+        old_order = sorted(range(source.n), key=lambda v: (-source.degree(v), v))
+        assert seen == [old_order]
 
 
 class TestAgainstBruteForce:

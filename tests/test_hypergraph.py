@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,12 @@ from turan import (
     ParseError,
     SizeLimitError,
     UnsupportedUniformityError,
+    BlowupSpec,
     are_isomorphic,
+    blowup,
     gamma,
 )
+from turan import hypergraph
 
 K4 = Hypergraph.complete(3, 4)
 # tight 5-cycle, zero-based from the 1-based edge list {123,234,345,451,512}
@@ -280,6 +284,164 @@ class TestTextFormat:
         assert err.value.line == line and "header" in str(err.value)
 
 
+def old_to_text(h: Hypergraph) -> str:
+    """The line-by-line join ``to_text`` used before it formatted whole batches."""
+    lines = [f"{h.r} {h.n}"]
+    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text: str):
+    """The graph a parser returns, or the message and line of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+def parse_per_line(text: str) -> Hypergraph:
+    """The per-line loop alone, with its edges stored through the checked constructor."""
+    r, n, edges = hypergraph._parse_lines(text.splitlines())
+    return Hypergraph(r, n, edges)
+
+
+# texts the whole-batch pass must take: valid header, every row strictly increasing
+CANONICAL_TEXTS = [
+    "3 4\n",
+    "1 0\n",
+    "3 4\n0 1 2\n0 1 3\n",
+    "3 4\n0 1 2\n0 1 3",
+    "# made by hand\n\n   \n3 4\n# first edge\n0 1 2\n\n  # indented comment\n0 1 3\n",
+    "3 4\r\n0 1 2\r\n0 1 3\r\n",
+    "3\t4\n0\t1  2\n\t0 1\t3 \n",
+    "3 4\x0b0 1 2\x0c0 1 3\x1c0 2 3\x1d1 2 3\x1e",
+    "3 4\x850 1 2\u20280 1 3\u2029",
+    "3 4\n0\x1f1\x1f2\n",
+    "3 4\n0 1 2\n0 1 2\n0 1 3\n0 1 2\n",
+    "3 12\n+0 1 1_0\n\u0660 \u0661 \u0662\n\uff10 \uff13 \uff19\n",
+    "3 300\n0 150 299\n1 256 257\n0 150 299\n",
+    "1 5\n4\n0\n2\n",
+    "2 5\n3 4\n0 1\n1 4\n",
+    "4 6\n0 1 2 3\n2 3 4 5\n",
+    "3 0003\n00 1 +2\n",
+]
+
+MALFORMED_TEXTS = [
+    "",
+    "\n\n",
+    "# nothing\n",
+    "3\n",
+    "3 4 5\n",
+    "3 x\n",
+    "0 4\n",
+    "3 -1\n",
+    "# r n\n\n-2 5\n1 2\n",
+    "\ufeff3 4\n0 1 2\n",
+    "3 4\n0 1\n",
+    "3 4\n0 1 2 3\n",
+    "3 4\n0 1 x\n",
+    "3 4\n0 1 2 # trailing comment\n",
+    "3 4\n0 1 2#\n",
+    "3 4\n0 1 1\n",
+    "3 4\n0 1 4\n",
+    "3 4\n-1 0 1\n",
+    "3 0\n0 1 2\n",
+    "3 4\n0 1\n0 1 x\n",
+    "3 4\n0 1 x\n0 1\n",
+    "3 4\n0 1 1\n0 1 5\n",
+    "3 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n1 2 5\n0 0 0\n",
+    "3 4\n0 1 2\n3 4\n",
+    "3 4\n0 1 2\n\n0 1 2 3\n1.0 2 3\n",
+    "3 300\n0 150 300\n",
+]
+
+# valid texts the batch pass hands to the per-line loop
+SORTED_BY_LOOP_TEXTS = [
+    "3 4\n2 1 0\n",
+    "3 4\n0 1 2\n3 1 0\n2 1 0\n",
+    "3 4\n0 2 1\n0 1 2\n",
+    "2 300\n299 0\n257 256\n",
+    "4 6\n5 4 3 2\n0 1 2 3\n",
+]
+
+CORPUS = CANONICAL_TEXTS + MALFORMED_TEXTS + SORTED_BY_LOOP_TEXTS
+
+
+class TestTextPaths:
+    @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_from_text_matches_per_line_loop(self, text, chunk):
+        with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+            got = parse_outcome(Hypergraph.from_text, text)
+        assert got == parse_outcome(parse_per_line, text)
+
+    @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
+    @pytest.mark.parametrize("text", CANONICAL_TEXTS)
+    def test_batch_pass_takes_canonical_texts(self, text, chunk):
+        with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+            r, n, flat = hypergraph._parse_canonical_rows(text.splitlines())
+        expected = parse_per_line(text)
+        assert (r, n) == (expected.r, expected.n)
+        assert sorted(set(zip(*[iter(flat)] * r))) == list(expected.edges)
+
+    @pytest.mark.parametrize("text", MALFORMED_TEXTS + SORTED_BY_LOOP_TEXTS)
+    def test_batch_pass_declines_the_rest(self, text):
+        # it either hands the text to the loop or lets the loop's header error through
+        with mock.patch.object(hypergraph, "_TEXT_CHUNK", 1):
+            got = parse_outcome(lambda t: hypergraph._parse_canonical_rows(t.splitlines()), text)
+        assert got is None or got == parse_outcome(parse_per_line, text)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("3 4\n0 1\n0 1 x\n", 2, "edge (0, 1) has 2 vertices, expected 3"),
+            ("3 4\n0 1 x\n0 1\n", 2, "non-integer token in '0 1 x'"),
+            ("3 4\n0 1 1\n0 1 5\n", 2, "edge (0, 1, 1) repeats a vertex"),
+            ("3 4\n2 1 0\n\n1 2 4\n", 4, "edge (1, 2, 4) out of range for n=4"),
+        ],
+    )
+    def test_first_fault_wins(self, text, line, message):
+        for chunk in (1, 3, hypergraph._TEXT_CHUNK):
+            with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+                with pytest.raises(ParseError) as err:
+                    Hypergraph.from_text(text)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: {message}"
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_every_uniformity(self, data):
+        r = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(0, 8))
+        universe = list(itertools.combinations(range(n), r))
+        edges = data.draw(st.lists(st.sampled_from(universe), max_size=20)) if universe else []
+        h = Hypergraph(r, n, edges)
+        text = h.to_text()
+        assert text == old_to_text(h)
+        for chunk in (1, 3, hypergraph._TEXT_CHUNK):
+            with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+                assert Hypergraph.from_text(text) == h
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            K4,
+            C5,
+            Hypergraph.empty(1, 0),
+            Hypergraph.empty(3, 5),
+            Hypergraph.empty(10**7, 2),
+            Hypergraph(1, 3, [(2,), (0,)]),
+            Hypergraph(3, 400, [(0, 199, 399), (1, 257, 300)]),
+            *(gamma(t) for t in range(1, 5)),
+            blowup(BlowupSpec(gamma(2), (3, 3, 1, 2, 2, 1))),
+            blowup(BlowupSpec(gamma(3), (4, 4, 0, 4, 3, 1, 5))),
+        ],
+    )
+    def test_to_text_bytes_unchanged(self, graph):
+        assert graph.to_text() == old_to_text(graph)
+        assert Hypergraph.from_text(graph.to_text()) == graph
+
+
 class TestInvariants:
     @given(hypergraphs())
     @settings(max_examples=120, deadline=None)
@@ -293,6 +455,11 @@ class TestInvariants:
         degrees = [len(h.link(v).edges) for v in range(h.n)]
         assert all(degrees[v] == h.degree(v) for v in range(h.n))
         assert sum(degrees) == h.r * len(h.edges)
+
+    @given(hypergraphs())
+    @settings(max_examples=120, deadline=None)
+    def test_degrees_one_pass(self, h):
+        assert h.degrees() == [h.degree(v) for v in range(h.n)]
 
     @given(hypergraphs())
     @settings(max_examples=120, deadline=None)
