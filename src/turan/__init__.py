@@ -41,6 +41,7 @@ from .constructions import (
 from .homomorphism import (
     HomSearchResult,
     VertexMap,
+    are_isomorphic,
     enumerate_endomorphisms,
     enumerate_homomorphisms,
     find_homomorphism,
@@ -52,7 +53,6 @@ from .homomorphism import (
 from .hypergraph import (
     Codegree,
     Hypergraph,
-    are_isomorphic,
     read_hypergraph,
     write_hypergraph,
 )

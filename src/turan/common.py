@@ -77,7 +77,7 @@ class SplitMismatchError(PreconditionError):
 
 
 class SizeLimitError(TuranError, ValueError):
-    """Instance exceeds a hard size bound (e.g. brute-force isomorphism)."""
+    """Instance exceeds a hard size bound (e.g. isomorphism search)."""
 
     kind = "size-limit"
 

@@ -11,7 +11,9 @@ adjacent to its image, and the last vertex of an edge whose other r-1
 vertices are assigned keeps only the vertices completing their images to
 a target edge.  A branch is cut as soon as a domain empties.  Candidates
 are tried in ascending order, so enumeration stays lexicographic, and
-``nodes_expanded`` counts the candidate assignments tried.
+``nodes_expanded`` counts the candidate assignments tried.  Isomorphism
+runs the same search in injective mode, which also clears each image from
+later domains and sends the source's non-edges onto target non-edges.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .common import BudgetExceededError, InvalidArgumentError, SizeLimitError
 from .hypergraph import Hypergraph
 
 ENDOMORPHISM_VERTEX_BOUND = 10
+
+#: Default vertex bound for isomorphism search.
+ISO_VERTEX_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,8 @@ def _search(
     target: Hypergraph,
     order: list[int],
     on_solution: Callable[[tuple[int, ...]], bool],
+    *,
+    classes: list[int] | None = None,
 ) -> int:
     """Forward-checking backtracking over the given vertex order.
 
@@ -94,6 +101,10 @@ def _search(
     docstring).  ``on_solution`` receives each complete image vector (in
     vertex order, not search order) and returns True to continue
     enumerating.  Returns the number of candidate assignments tried.
+    ``classes``, one bitmask per source vertex, seeds the domains and turns
+    on injective mode, which finds induced copies: injective maps that also
+    send every non-edge onto a non-edge.  Between graphs on equally many
+    vertices these are the isomorphisms.
     """
     r = source.r
     size = len(order)
@@ -113,20 +124,35 @@ def _search(
     domains = [(1 << target.n) - 1] * size
     # later positions sharing a covered pair with each position
     pair_sets: list[set[int]] = [set() for _ in order]
-    # (earlier positions, last position) of each edge, at its second-to-last
-    edges_at: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
-    for e in source.edges:
-        spots = sorted(position[v] for v in e)
+    closed = [tuple(sorted(position[v] for v in e)) for e in source.edges]
+    for spots in closed:
         for i, p in enumerate(spots):
             pair_sets[p].update(spots[i + 1 :])
-        if r == 1:
-            # a one-vertex edge has no second-to-last vertex: restrict at the root
-            domains[spots[0]] &= link.get(0, 0)
-        else:
-            edges_at[spots[-2]].append((tuple(spots[:-2]), spots[-1]))
     later = [sorted(s) for s in pair_sets]
+    # bits[size] holds a marker bit above every target vertex
+    marker = 1 << target.n
+    bits = [0] * size + [marker]
+    apart: list[list[int]] = [[] for _ in order]
+    if classes is not None:
+        domains = [classes[v] for v in order]
+        # later positions that do not already lose an image via adj
+        apart = [[q for q in range(p + 1, size) if q not in pair_sets[p]] for p in range(size)]
+        # a non-edge closes like an edge with the marker slot among its earlier
+        # positions, against the complement of link kept under the marker bit
+        for rest in itertools.combinations(range(target.n), r - 1):
+            mask = sum(1 << w for w in rest)
+            link[marker | mask] = (marker - 1) & ~link.get(mask, 0)
+        edges = set(closed)
+        closed = [s if s in edges else (size, *s) for s in itertools.combinations(range(size), r)]
+    # (earlier positions, last position) of each closed r-set, at its second-to-last
+    edges_at: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
+    for spots in closed:
+        if r == 1:
+            # one-vertex sets close at the root, where only the marker slot is set
+            domains[spots[-1]] &= link.get(sum(bits[p] for p in spots[:-1]), 0)
+        else:
+            edges_at[spots[-2]].append((spots[:-2], spots[-1]))
 
-    bits = [0] * size
     nodes = 0
     stop = False
 
@@ -140,6 +166,7 @@ def _search(
                 stop = True
             return
         neighbours = later[pos]
+        distinct = apart[pos]
         closing = edges_at[pos]
         d = doms[pos]
         while d:
@@ -147,6 +174,8 @@ def _search(
             d ^= bit
             nodes += 1
             narrowed = doms[:]
+            for q in distinct:
+                narrowed[q] &= ~bit
             near = adj[bit.bit_length() - 1]
             for q in neighbours:
                 left = narrowed[q] & near
@@ -214,25 +243,9 @@ def enumerate_homomorphisms(
     Raises a budget error carrying the partial list when ``limit`` is hit.
     For edgeless sources every map qualifies, whatever the uniformities.
     """
-    if source.n == 0:
-        return [VertexMap(0, target.n, ())]
-    if target.n == 0:
-        return []
-    if not source.edges:
-        out = [
-            VertexMap(source.n, target.n, images)
-            for images in itertools.islice(
-                itertools.product(range(target.n), repeat=source.n),
-                (limit + 1) if limit is not None else None,
-            )
-        ]
-        if limit is not None and len(out) > limit:
-            raise BudgetExceededError(
-                f"homomorphism enumeration exceeded the limit of {limit}",
-                partial=out[:limit],
-            )
-        return out
-    if source.r != target.r:
+    if limit is not None and limit < 0:
+        raise InvalidArgumentError(f"limit must be >= 0, got {limit}")
+    if source.edges and source.r != target.r:
         return []
     out: list[VertexMap] = []
 
@@ -293,6 +306,34 @@ def partial_embedding_check(t: int) -> bool:
         if t >= 3 and {images[v] for v in inner_head} != inner_head:
             return False
     return True
+
+
+def are_isomorphic(
+    h1: Hypergraph, h2: Hypergraph, max_vertices: int = ISO_VERTEX_BOUND
+) -> Optional[tuple[int, ...]]:
+    """Isomorphism search for small hypergraphs.
+
+    Returns a bijection ``phi`` with ``phi[v]`` the image of v, or None.
+    Runs the forward-checking search in injective mode, in decreasing-degree
+    order, with each domain seeded by the target vertices of equal degree.
+    """
+    if h1.n > max_vertices or h2.n > max_vertices:
+        raise SizeLimitError(
+            f"isomorphism search limited to {max_vertices} vertices "
+            f"(got {h1.n} and {h2.n})"
+        )
+    if h1.r != h2.r or h1.n != h2.n or len(h1.edges) != len(h2.edges):
+        return None
+    deg1 = h1.degrees()
+    deg2 = h2.degrees()
+    if sorted(deg1) != sorted(deg2):
+        return None
+    classes = [sum(1 << w for w, d in enumerate(deg2) if d == d1) for d1 in deg1]
+    order = sorted(range(h1.n), key=lambda v: (-deg1[v], v))
+    found: list[tuple[int, ...]] = []
+    # list.append returns None, so the search stops at the first solution
+    _search(h1, h2, order, found.append, classes=classes)
+    return found[0] if found else None
 
 
 def in_family_FM(candidate: Hypergraph, target: Hypergraph, max_vertices: int) -> bool:

@@ -20,14 +20,10 @@ from .common import (
     Frozen,
     InvalidArgumentError,
     ParseError,
-    SizeLimitError,
     UnsupportedUniformityError,
 )
 
 Edge = tuple[int, ...]
-
-#: Default vertex bound for brute-force isomorphism search.
-ISO_VERTEX_BOUND = 12
 
 #: Lines per batch in the whole-text pass of ``Hypergraph.from_text``.  Kept
 #: small so a batch's row lists are freed before the cyclic garbage collector
@@ -400,74 +396,6 @@ def _has_clique(graph: Hypergraph, size: int) -> bool:
         return False
 
     return grow(0, candidates)
-
-
-def are_isomorphic(
-    h1: Hypergraph, h2: Hypergraph, max_vertices: int = ISO_VERTEX_BOUND
-) -> Optional[tuple[int, ...]]:
-    """Brute-force isomorphism search for small hypergraphs.
-
-    Returns a bijection ``phi`` with ``phi[v]`` the image of v, or None.
-    Vertices are matched in decreasing-degree order; candidates must agree
-    on degree and on pairwise codegrees with all previously mapped vertices.
-    """
-    if h1.n > max_vertices or h2.n > max_vertices:
-        raise SizeLimitError(
-            f"isomorphism search limited to {max_vertices} vertices "
-            f"(got {h1.n} and {h2.n})"
-        )
-    if h1.r != h2.r or h1.n != h2.n or len(h1.edges) != len(h2.edges):
-        return None
-    n = h1.n
-    deg1 = h1.degrees()
-    deg2 = h2.degrees()
-    if sorted(deg1) != sorted(deg2):
-        return None
-
-    def pair_counts(h: Hypergraph):
-        counts = {}
-        for e in h.edges:
-            for u, v in itertools.combinations(e, 2):
-                counts[(u, v)] = counts.get((u, v), 0) + 1
-        return counts
-
-    cod1 = pair_counts(h1)
-    cod2 = pair_counts(h2)
-    edge_set2 = h2.edge_set
-    order = sorted(range(n), key=lambda v: (-deg1[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return all(
-                tuple(sorted(mapping[w] for w in e)) in edge_set2 for e in h1.edges
-            )
-        v = order[pos]
-        for w in range(n):
-            if used[w] or deg2[w] != deg1[v]:
-                continue
-            ok = True
-            for u in order[:pos]:
-                a = (u, v) if u < v else (v, u)
-                mu = mapping[u]
-                b = (mu, w) if mu < w else (w, mu)
-                if cod1.get(a, 0) != cod2.get(b, 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if backtrack(pos + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    if backtrack(0):
-        return tuple(mapping)
-    return None
 
 
 def read_hypergraph(path) -> Hypergraph:

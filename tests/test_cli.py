@@ -93,17 +93,13 @@ class TestColorableCommand:
         g = write_graph(tmp_path, "g.hg", gamma(2))
         code, out, _ = run(capsys, "colorable", "--graph", f, "--target", g)
         assert code == 0
-        data = json.loads(out)
-        assert data["found"] is True
-        assert isinstance(data["map"], list) and len(data["map"]) == 4
-        assert data["nodes_expanded"] > 0
+        assert json.loads(out) == {"found": True, "map": [0, 1, 2, 5], "nodes_expanded": 4}
 
     def test_negative_case(self, tmp_path, capsys):
         f = write_graph(tmp_path, "f.hg", Hypergraph.complete(3, 5))
         g = write_graph(tmp_path, "g.hg", gamma(2))
         _, out, _ = run(capsys, "colorable", "--graph", f, "--target", g)
-        assert json.loads(out) == {"found": False, "map": None,
-                                   "nodes_expanded": json.loads(out)["nodes_expanded"]}
+        assert json.loads(out) == {"found": False, "map": None, "nodes_expanded": 156}
 
 
 class TestFeasibleRegionCommand:

@@ -10,8 +10,10 @@ from turan import (
     BlowupSpec,
     BudgetExceededError,
     Hypergraph,
+    InvalidArgumentError,
     SizeLimitError,
     VertexMap,
+    are_isomorphic,
     blowup,
     enumerate_endomorphisms,
     enumerate_homomorphisms,
@@ -203,6 +205,120 @@ class TestEnumerate:
     def test_size_bound(self):
         with pytest.raises(SizeLimitError):
             enumerate_endomorphisms(Hypergraph.empty(3, 11))
+
+    def test_edgeless_source_gives_every_map(self):
+        # no edge constraints, whatever the uniformities: all 2^3 maps in lex order
+        got = enumerate_homomorphisms(Hypergraph.empty(2, 3), Hypergraph.complete(3, 2))
+        assert [m.images for m in got] == list(itertools.product(range(2), repeat=3))
+        assert enumerate_homomorphisms(Hypergraph.empty(3, 2), Hypergraph.empty(3, 0)) == []
+
+    def test_zero_vertex_source(self):
+        source = Hypergraph.empty(3, 0)
+        assert [m.images for m in enumerate_homomorphisms(source, K4)] == [()]
+        assert [m.images for m in enumerate_homomorphisms(source, K4, limit=1)] == [()]
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_homomorphisms(source, K4, limit=0)
+        assert err.value.partial == []
+
+    @pytest.mark.parametrize("graph", [Hypergraph.empty(3, 3), Hypergraph(3, 3, [(0, 1, 2)])])
+    def test_negative_limit_rejected(self, graph):
+        with pytest.raises(InvalidArgumentError):
+            enumerate_homomorphisms(graph, K4, limit=-2)
+        with pytest.raises(InvalidArgumentError):
+            enumerate_endomorphisms(graph, limit=-1)
+
+
+def brute_force_isomorphic(h1, h2):
+    """Independent oracle: some vertex permutation carries h1's edges onto h2's."""
+    if (h1.r, h1.n, len(h1.edges)) != (h2.r, h2.n, len(h2.edges)):
+        return False
+    target = set(h2.edges)
+    return any(
+        {tuple(sorted(perm[v] for v in e)) for e in h1.edges} == target
+        for perm in itertools.permutations(range(h1.n))
+    )
+
+
+def swap_one_edge(rng, graph):
+    """Replace one edge by one non-edge, keeping the edge count."""
+    universe = list(itertools.combinations(range(graph.n), graph.r))
+    absent = [e for e in universe if e not in graph.edge_set]
+    if not graph.edges or not absent:
+        return graph
+    drop = graph.edges[int(rng.integers(len(graph.edges)))]
+    add = absent[int(rng.integers(len(absent)))]
+    return Hypergraph(graph.r, graph.n, [e for e in graph.edges if e != drop] + [add])
+
+
+class TestIsomorphism:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_against_permutation_oracle(self, r):
+        rng = np.random.default_rng(40 + r)
+        answers = set()
+        for n in range(7):
+            for _ in range(6):
+                h1 = random_graph(rng, r, n, 0.5)
+                perm = tuple(int(v) for v in rng.permutation(n))
+                for h2 in (
+                    h1.relabel(perm),
+                    swap_one_edge(rng, h1).relabel(perm),
+                    random_graph(rng, r, n, 0.5),
+                ):
+                    phi = are_isomorphic(h1, h2)
+                    want = brute_force_isomorphic(h1, h2)
+                    assert (phi is not None) == want
+                    answers.add(want)
+                    if phi is not None:
+                        assert sorted(phi) == list(range(n))
+                        assert h1.relabel(phi) == h2
+        assert answers == {True, False}
+
+    def test_dense_pair_prunes_like_its_complement(self):
+        # tight 11-cycle against tight 5- and 6-cycles: same degrees, not
+        # isomorphic.  Closing non-edges keeps the dense complements as cheap
+        # as the sparse pair; edge closings alone expand about 278,000 nodes.
+        def cycle(n, offset=0):
+            return [tuple(sorted((i + k) % n + offset for k in range(3))) for i in range(n)]
+
+        def complement(h):
+            return Hypergraph(3, h.n, set(itertools.combinations(range(h.n), 3)) - h.edge_set)
+
+        one = Hypergraph(3, 11, cycle(11))
+        two = Hypergraph(3, 11, cycle(5) + cycle(6, 5))
+        full = [(1 << 11) - 1] * 11
+        for a, b in ((one, two), (complement(one), complement(two))):
+            assert are_isomorphic(a, b) is None
+            nodes = homomorphism._search(a, b, list(range(11)), lambda images: True, classes=full)
+            assert nodes < 500
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_injective_mode_finds_induced_copies(self, r):
+        # with classes, the search enumerates the injective maps under which
+        # every r-set of the source is an edge exactly when its image is one
+        rng = np.random.default_rng(60 + r)
+        for _ in range(20):
+            source = random_graph(rng, r, int(rng.integers(0, 5)), 0.5)
+            target = random_graph(rng, r, int(rng.integers(0, 6)), 0.5)
+            want = [
+                images
+                for images in itertools.permutations(range(target.n), source.n)
+                if all(
+                    (e in source.edge_set)
+                    == (tuple(sorted(images[v] for v in e)) in target.edge_set)
+                    for e in itertools.combinations(range(source.n), r)
+                )
+            ]
+            got = []
+
+            def record(images):
+                got.append(images)
+                return True
+
+            full = (1 << target.n) - 1
+            homomorphism._search(
+                source, target, list(range(source.n)), record, classes=[full] * source.n
+            )
+            assert got == want
 
 
 class TestPartialEmbedding:
