@@ -457,7 +457,10 @@ def _check_first_order_maximum(poly: MultilinearPoly, z: SimplexPoint) -> None:
     that no off-support partial exceeds.  Necessary (not sufficient) for a
     maximizer; rejects points that are obviously not optimal."""
     coords = z.as_fractions()
-    grads = [poly.partial(k).evaluate(coords) for k in range(poly.m)]
+    # p is affine in each coordinate: d p / d x_k = p(x; x_k = 1) - p(x; x_k = 0)
+    ends = [coords[:k] + (v,) + coords[k + 1 :] for k in range(poly.m) for v in (1, 0)]
+    values = poly.kernel.rational_values(ends)
+    grads = [values[2 * k] - values[2 * k + 1] for k in range(poly.m)]
     support = [k for k in range(poly.m) if coords[k] > 0]
     common = grads[support[0]] if support else Fraction(0)
     if any(grads[k] != common for k in support) or any(
@@ -570,6 +573,8 @@ class WeightProfileFit:
 def profile_template(t: int, alpha: float) -> np.ndarray:
     """The float alpha-profile on t+4 coordinates: 1/(t+2) on the first t,
     alpha/(t+2) on positions t and t+3, (1-alpha)/(t+2) on t+1 and t+2."""
+    if t < 2:
+        raise InvalidArgumentError(f"profile template needs t >= 2, got {t}")
     template = np.empty(t + 4)
     template[:t] = 1.0 / (t + 2)
     template[t] = template[t + 3] = alpha / (t + 2)

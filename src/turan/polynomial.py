@@ -180,24 +180,15 @@ class MultilinearPoly(Frozen):
             raise InvalidArgumentError(
                 f"point has {len(x)} coordinates, expected {self.m}"
             )
-        coords = [_as_fraction(v) for v in x]
-        total = Fraction(0)
-        for subset, coef in self.terms.items():
-            prod = coef
-            for i in subset:
-                prod *= coords[i]
-                if not prod:
-                    break
-            total += prod
-        return total
+        return self.kernel.rational_values([[_as_fraction(v) for v in x]])[0]
 
     def evaluate_float(self, x: Sequence) -> float:
         """Double-precision value, summed per degree by the compiled kernel."""
-        return self.kernel.value(self._float_point(x))
+        return float(self.kernel.values(self._float_point(x)[None])[0])
 
     def gradient(self, x: Sequence) -> np.ndarray:
         """Float gradient vector (d p / d x_k evaluated at x)."""
-        return self.kernel.gradient(self._float_point(x))
+        return self.kernel.gradients(self._float_point(x)[None])[0]
 
     def partial(self, k: int) -> "MultilinearPoly":
         """The exact partial derivative d p / d X_k, in the same variable space."""
@@ -372,18 +363,17 @@ def _term_sums(block: np.ndarray, subsets, coefs) -> np.ndarray:
 class PolyKernel:
     """A polynomial compiled once into numpy index arrays.
 
-    Single-point float values sum one gathered product per degree group,
-    ascending.  The gradient takes, for every (term, position) pair in the
-    same degree-then-position order, the product of the term's other
-    variables and accumulates them with one ``bincount``, which adds in
-    that order.  :meth:`values` and :meth:`gradients` do the same for every
-    row of an (S, m) float array, a chunk of rows at a time; a gradient row
-    adds its pairs in the same order as :meth:`gradient`.  :meth:`batch`
-    scores rows one term column at a time, so memory stays at a few
-    row-length vectors.  :meth:`scan` is the one exact scan over every
-    integer composition, factored into prefix and tail halves, and
-    :meth:`exact_values` scores chosen integer rows with :meth:`batch`;
-    both pick int64 or exact Python integers.
+    Two arithmetic paths compute every value.  Float: :meth:`values` sums
+    one gathered product per degree group, ascending, at every row of an
+    (S, m) array, a chunk of rows at a time; :meth:`gradients` takes, for
+    every (term, position) pair in the same degree-then-position order, the
+    product of the term's other variables and adds them in that order with
+    one ``bincount``.  A single point is a one-row batch.  Exact:
+    :meth:`batch` scores integer rows one term column at a time, in int64
+    or Python integers, so memory stays at a few row-length vectors.
+    :meth:`rational_values` scores rational points scaled to integer rows,
+    :meth:`exact_values` chosen integer rows, and :meth:`scan` every
+    integer composition, factored into prefix and tail halves.
     """
 
     def __init__(self, poly: MultilinearPoly):
@@ -391,6 +381,8 @@ class PolyKernel:
         self.degree = poly.degree()
         self.subsets = tuple(poly.terms)
         self.coefs = tuple(poly.terms.values())
+        self.lcm = math.lcm(*(c.denominator for c in self.coefs))
+        self.numerators = tuple(int(c * self.lcm) for c in self.coefs)
         self.float_coefs = tuple(float(c) for c in self.coefs)
         self.constant = float(poly.coefficient(()))
         by_degree: dict[int, list] = {}
@@ -425,18 +417,6 @@ class PolyKernel:
             for idx, coefs in self.groups
             if idx.shape[1] < self.degree
         ]
-
-    def value(self, x: np.ndarray) -> float:
-        total = self.constant
-        for idx, coefs in self.groups:
-            total += float(np.dot(np.prod(x[idx], axis=1), coefs))
-        return total
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.targets is None:
-            return np.zeros(self.m)
-        terms = [coefs * np.prod(x[others], axis=1) for others, coefs in self.partials]
-        return np.bincount(self.targets, weights=np.concatenate(terms), minlength=self.m)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Float values at every row of an (S, m) array."""
@@ -493,12 +473,11 @@ class PolyKernel:
         coefficients, that is p(k) itself).  Returns (coefficients, that
         scale).
         """
-        lcm = math.lcm(*(c.denominator for c in self.coefs))
         scaled = [
-            int(c * lcm) * total ** (self.degree - len(s))
-            for s, c in zip(self.subsets, self.coefs)
+            n * total ** (self.degree - len(s))
+            for s, n in zip(self.subsets, self.numerators)
         ]
-        return scaled, lcm * total**self.degree
+        return scaled, self.lcm * total**self.degree
 
     def fits_int64(self, coefs: Sequence[int], total: int) -> bool:
         """Whether no partial sum of an int64 scan of rows summing to ``total`` overflows."""
@@ -510,6 +489,16 @@ class PolyKernel:
         result has the block's dtype (int64, float, or object for exact
         Python integers)."""
         return _term_sums(block, self.subsets, coefs)
+
+    def rational_values(self, points: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+        """Exact values at rational points, scaled to integer rows of their
+        common denominator and scored in Python integers (a coordinate may be
+        negative or above 1, outside the :meth:`fits_int64` bound)."""
+        total = math.lcm(*(v.denominator for x in points for v in x))
+        rows = [[v.numerator * (total // v.denominator) for v in x] for x in points]
+        coefs, scale = self.integer_coefficients(total)
+        block = np.array(rows, dtype=object).reshape(len(points), self.m)
+        return [Fraction(v, scale) for v in self.batch(block, coefs)]
 
     def exact_values(self, rows: np.ndarray, total: int) -> np.ndarray:
         """Exact scaled values (see :meth:`integer_coefficients`) at integer

@@ -30,7 +30,7 @@ from turan import (
 )
 from turan import _grid
 from turan.constructions import crossed_blowup, double_vertex
-from turan.lagrangian import _growth_step
+from turan.lagrangian import _check_first_order_maximum, _growth_step, profile_template
 from turan.verify import permute_point
 
 K4 = Hypergraph.complete(3, 4)
@@ -344,6 +344,42 @@ class TestPredictedSegment:
         with pytest.raises(PreconditionError):
             predicted_segment(K4, (2, 3), z)
 
+    def test_first_order_check_matches_symbolic_partials(self):
+        # q = p + sum a_k x_k is stationary at z for a chosen a, then one a_k is
+        # sometimes nudged; the check must raise exactly when the symbolic
+        # partials of q say z is not a first-order maximum
+        outcomes = set()
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 7))
+            weights = [int(w) for w in rng.integers(0, 5, m) * (rng.random(m) < 0.7)]
+            if not any(weights):
+                weights[0] = 1
+            z = SimplexPoint([frac(w, sum(weights)) for w in weights])
+            p = random_signed_poly(rng, m)
+            grads = [p.partial(k).evaluate(z.coords) for k in range(m)]
+            level = max(grads)
+            linear = {
+                (k,): level - grads[k] - (0 if weights[k] else frac(int(rng.integers(0, 3)), 4))
+                for k in range(m)
+            }
+            if rng.random() < 0.5:
+                k = int(rng.integers(m))
+                linear[(k,)] += frac(int(rng.choice([-2, -1, 1, 2])), 8)
+            q = p + MultilinearPoly(m, linear)
+            partials = [q.partial(k).evaluate(z.coords) for k in range(m)]
+            common = next(g for g, w in zip(partials, weights) if w)
+            stationary = all(
+                g == common if w else g <= common for g, w in zip(partials, weights)
+            )
+            outcomes.add(stationary)
+            if stationary:
+                _check_first_order_maximum(q, z)
+            else:
+                with pytest.raises(PreconditionError):
+                    _check_first_order_maximum(q, z)
+        assert outcomes == {True, False}
+
     def test_rejects_asymmetric_pair(self):
         c5 = tight_cycle(5)
         with pytest.raises(AsymmetryError):
@@ -445,6 +481,16 @@ class TestFitWeightProfile:
     def test_dimension_checked(self):
         with pytest.raises(InvalidArgumentError):
             fit_weight_profile(2, [0.5, 0.5], 1e-6)
+
+    def test_template_needs_t_at_least_2(self):
+        from turan.verify import sample_near_optimal
+
+        assert profile_template(2, 0.5).shape == (6,)
+        for t in (0, 1):
+            with pytest.raises(InvalidArgumentError):
+                profile_template(t, 0.5)
+        with pytest.raises(InvalidArgumentError):
+            sample_near_optimal(1, 1e-6, 1)
 
     def test_near_optimal_points_fit(self):
         from turan.verify import sample_near_optimal

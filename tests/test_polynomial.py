@@ -75,6 +75,8 @@ class TestEvaluate:
     def test_floats_rejected_in_exact_mode(self):
         with pytest.raises(InvalidArgumentError):
             P_K4.evaluate([0.25] * 4)
+        with pytest.raises(InvalidArgumentError):
+            P_K4.evaluate([Fraction(1, 4)] * 3 + [0.25])
 
     def test_float_variant(self):
         assert P_K4.evaluate_float([0.25] * 4) == pytest.approx(1 / 16, abs=1e-15)
@@ -258,6 +260,51 @@ def rational_point(draw, m):
     ]
 
 
+def wide_coordinates():
+    """Exact coordinates: negative, above 1, and numerators near 10**12, whose
+    degree-4 products are past the int64 range."""
+    big = st.builds(
+        lambda sign, n, d: Fraction(sign * n, d),
+        st.sampled_from([-1, 1]),
+        st.integers(10**12 - 50, 10**12 + 50),
+        st.integers(1, 9),
+    )
+    return st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=16), big)
+
+
+def fraction_oracle(poly, x):
+    """sum c * prod(x_i for i in S), one Fraction term at a time: exact and
+    independent of the compiled kernel."""
+    return sum((c * math.prod(x[i] for i in s) for s, c in poly.terms.items()), Fraction(0))
+
+
+def assert_matches_oracle(poly, x):
+    """evaluate, evaluate_float, gradient (against the symbolic partials) and
+    an exact integer batch at x, all against fraction_oracle."""
+    exact = fraction_oracle(poly, x)
+    value = poly.evaluate(x)
+    assert type(value) is Fraction and value == exact
+
+    def tolerance(q):
+        # float error is relative to sum |c| prod |x_i|, not to the value
+        size = MultilinearPoly(q.m, {s: abs(c) for s, c in q.terms.items()})
+        return 1e-12 * max(1.0, float(fraction_oracle(size, [abs(v) for v in x])))
+
+    xf = [float(v) for v in x]
+    at = poly.evaluate_float(xf)
+    assert type(at) is float and abs(at - exact) <= tolerance(poly)
+    grad = poly.gradient(xf)
+    assert grad.shape == (poly.m,)
+    for k in range(poly.m):
+        partial = poly.partial(k)
+        assert abs(grad[k] - fraction_oracle(partial, x)) <= tolerance(partial)
+    total = math.lcm(*(v.denominator for v in x))
+    row = np.array([[v.numerator * (total // v.denominator) for v in x]], dtype=object)
+    coefs, scale = poly.kernel.integer_coefficients(total)
+    scored = poly.kernel.batch(row.reshape(1, poly.m), coefs)
+    assert Fraction(int(scored[0]), scale) == exact
+
+
 class TestKernelDifferential:
     """The compiled kernel against exact Fraction evaluation."""
 
@@ -266,10 +313,30 @@ class TestKernelDifferential:
     def test_float_value_and_gradient(self, poly, data):
         x = rational_point(data.draw, poly.m)
         xf = [float(v) for v in x]
-        assert abs(poly.evaluate_float(xf) - poly.evaluate(x)) <= 1e-12
+        assert abs(poly.evaluate_float(xf) - fraction_oracle(poly, x)) <= 1e-12
         grad = poly.gradient(xf)
         for k in range(poly.m):
-            assert abs(grad[k] - poly.partial(k).evaluate(x)) <= 1e-12
+            assert abs(grad[k] - fraction_oracle(poly.partial(k), x)) <= 1e-12
+
+    @given(signed_polys(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wide_points_match_oracle(self, poly, data):
+        assert_matches_oracle(poly, [data.draw(wide_coordinates()) for _ in range(poly.m)])
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            MultilinearPoly.zero(3),
+            MultilinearPoly.constant(3, Fraction(-5, 7)),
+            MultilinearPoly.zero(0),
+            MultilinearPoly.constant(0, 4),
+        ],
+        ids=["zero", "constant", "zero-m0", "constant-m0"],
+    )
+    def test_degenerate_polynomials_match_oracle(self, poly):
+        x = [Fraction(-3, 2), Fraction(7, 3), Fraction(10**12 + 1, 5)][: poly.m]
+        assert_matches_oracle(poly, x)
+        assert poly.kernel.rational_values([x, x]) == [fraction_oracle(poly, x)] * 2
 
     @given(signed_polys(), st.integers(1, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -285,9 +352,10 @@ class TestKernelDifferential:
         assert values.shape == (rows,) and grads.shape == (rows, poly.m)
         d = kernel.degree
         negative = -sum(min(c, 0) for c in poly.terms.values())
-        for x, value, grad, shift in zip(X, values, grads, shifts):
-            assert abs(value - kernel.value(x)) <= 1e-12
-            np.testing.assert_allclose(grad, kernel.gradient(x), rtol=0, atol=1e-12)
+        for k, (x, shift) in enumerate(zip(X, shifts)):
+            # a row of a chunked batch is bit for bit a one-row batch
+            assert values[k] == kernel.values(X[k : k + 1])[0]
+            np.testing.assert_array_equal(grads[k], kernel.gradients(X[k : k + 1])[0])
             exact = negative * d + sum(
                 c * (d - len(s)) * np.prod([Fraction(x[i]) for i in s])
                 for s, c in poly.terms.items()
@@ -309,7 +377,7 @@ class TestKernelDifferential:
         assert values.dtype == np.int64
         for row, value in zip(block, values):
             point = [Fraction(int(k), total) for k in row]
-            assert Fraction(int(value), scale) == poly.evaluate(point)
+            assert Fraction(int(value), scale) == fraction_oracle(poly, point)
 
     @given(signed_polys(max_m=4), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
