@@ -14,6 +14,15 @@ are tried in ascending order, so enumeration stays lexicographic, and
 ``nodes_expanded`` counts the candidate assignments tried.  Isomorphism
 runs the same search in injective mode, which also clears each image from
 later domains and sends the source's non-edges onto target non-edges.
+
+Endomorphisms of a two-covered graph (every vertex pair in some edge) run
+in injective mode too.  Each pair lies in an edge, whose image has r
+distinct vertices, so an endomorphism is injective, hence bijective on the
+finite vertex set; it then sends the edges injectively into a set of the
+same size, so onto it, and non-edges onto non-edges.  The endomorphisms
+are therefore exactly the automorphisms, and they preserve degrees, so
+domains are seeded with degree classes; the graph is a core (Hell &
+Nesetril, *Graphs and Homomorphisms*, 2004).
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ from typing import Callable, Optional
 from .common import BudgetExceededError, InvalidArgumentError, SizeLimitError
 from .hypergraph import Hypergraph
 
+#: Vertex bound for endomorphism enumeration.  On two-covered graphs it also
+#: bounds the injective mode's set-up, which lists all C(n, r) r-sets
+#: (at most C(10, 5) = 252).
 ENDOMORPHISM_VERTEX_BOUND = 10
 
 #: Default vertex bound for isomorphism search.
@@ -243,6 +255,33 @@ def enumerate_homomorphisms(
     Raises a budget error carrying the partial list when ``limit`` is hit.
     For edgeless sources every map qualifies, whatever the uniformities.
     """
+    return _enumerate(source, target, limit)
+
+
+def enumerate_endomorphisms(graph: Hypergraph, limit: int = 1_000_000) -> list[VertexMap]:
+    """All homomorphisms of a small hypergraph into itself, in lexicographic
+    image order.
+
+    When every vertex pair lies in an edge, every endomorphism is an
+    automorphism (see the module docstring), so the search runs in
+    injective mode with degree classes; it finds the same maps in the same
+    order.
+    """
+    if graph.n > ENDOMORPHISM_VERTEX_BOUND:
+        raise SizeLimitError(
+            f"endomorphism enumeration limited to {ENDOMORPHISM_VERTEX_BOUND} vertices"
+        )
+    classes = None
+    if graph.is_two_covered():
+        degrees = graph.degrees()
+        classes = _degree_classes(degrees, degrees)
+    return _enumerate(graph, graph, limit, classes)
+
+
+def _enumerate(
+    source: Hypergraph, target: Hypergraph, limit: int | None, classes: list[int] | None = None
+) -> list[VertexMap]:
+    """Run ``_search`` in index order, collecting maps up to ``limit``."""
     if limit is not None and limit < 0:
         raise InvalidArgumentError(f"limit must be >= 0, got {limit}")
     if source.edges and source.r != target.r:
@@ -255,7 +294,7 @@ def enumerate_homomorphisms(
         return limit is None or len(out) <= limit
 
     # index order makes the DFS emit image vectors lexicographically
-    _search(source, target, list(range(source.n)), record)
+    _search(source, target, list(range(source.n)), record, classes=classes)
     if limit is not None and len(out) > limit:
         raise BudgetExceededError(
             f"homomorphism enumeration exceeded the limit of {limit}",
@@ -264,13 +303,9 @@ def enumerate_homomorphisms(
     return out
 
 
-def enumerate_endomorphisms(graph: Hypergraph, limit: int = 1_000_000) -> list[VertexMap]:
-    """All homomorphisms of a small hypergraph into itself."""
-    if graph.n > ENDOMORPHISM_VERTEX_BOUND:
-        raise SizeLimitError(
-            f"endomorphism enumeration limited to {ENDOMORPHISM_VERTEX_BOUND} vertices"
-        )
-    return enumerate_homomorphisms(graph, graph, limit=limit)
+def _degree_classes(source_degrees: list[int], target_degrees: list[int]) -> list[int]:
+    """One bitmask per source vertex: the target vertices of equal degree."""
+    return [sum(1 << w for w, d in enumerate(target_degrees) if d == d1) for d1 in source_degrees]
 
 
 def partial_embedding_check(t: int) -> bool:
@@ -328,11 +363,10 @@ def are_isomorphic(
     deg2 = h2.degrees()
     if sorted(deg1) != sorted(deg2):
         return None
-    classes = [sum(1 << w for w, d in enumerate(deg2) if d == d1) for d1 in deg1]
     order = sorted(range(h1.n), key=lambda v: (-deg1[v], v))
     found: list[tuple[int, ...]] = []
     # list.append returns None, so the search stops at the first solution
-    _search(h1, h2, order, found.append, classes=classes)
+    _search(h1, h2, order, found.append, classes=_degree_classes(deg1, deg2))
     return found[0] if found else None
 
 

@@ -550,12 +550,11 @@ def verify_segment(
     if len(y) != poly.m or len(z) != poly.m:
         raise InvalidArgumentError("endpoint dimension does not match polynomial")
     goal = Fraction(target)
-    for k in range(samples):
-        alpha = Fraction(k, samples - 1)
-        point = [
-            alpha * a + (1 - alpha) * b for a, b in zip(y.as_fractions(), z.as_fractions())
-        ]
-        if poly.evaluate(point) != goal:
+    ends = list(zip(y.as_fractions(), z.as_fractions()))
+    alphas = [Fraction(k, samples - 1) for k in range(samples)]
+    points = [[alpha * a + (1 - alpha) * b for a, b in ends] for alpha in alphas]
+    for alpha, value in zip(alphas, poly.kernel.rational_values(points)):
+        if value != goal:
             return SegmentCertificate(False, alpha, samples, goal, False)
     return SegmentCertificate(True, None, samples, goal, samples >= poly.degree() + 1)
 

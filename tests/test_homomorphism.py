@@ -54,6 +54,32 @@ def brute_force_homomorphisms(source, target):
     ]
 
 
+def backtrack_homomorphisms(source, target):
+    """Independent oracle: extend maps vertex by vertex in index order and
+    check each edge once its largest vertex is mapped (no domains)."""
+    target_edges = set(target.edges)
+    closing = [[e for e in source.edges if e[-1] == v] for v in range(source.n)]
+    out = []
+
+    def extend(images):
+        v = len(images)
+        if v == source.n:
+            out.append(tuple(images))
+            return
+        for w in range(target.n):
+            images.append(w)
+            if all(
+                len({images[u] for u in e}) == source.r
+                and tuple(sorted(images[u] for u in e)) in target_edges
+                for e in closing[v]
+            ):
+                extend(images)
+            images.pop()
+
+    extend([])
+    return out
+
+
 def random_graph(rng, r, n, density):
     universe = itertools.combinations(range(n), r)
     return Hypergraph(r, n, [e for e in universe if rng.random() < density])
@@ -226,6 +252,106 @@ class TestEnumerate:
             enumerate_homomorphisms(graph, K4, limit=-2)
         with pytest.raises(InvalidArgumentError):
             enumerate_endomorphisms(graph, limit=-1)
+
+
+def search_modes(graph):
+    """Whether each ``_search`` call of ``enumerate_endomorphisms`` ran in
+    injective mode."""
+    modes = []
+    real = homomorphism._search
+
+    def spy(*args, classes=None):
+        modes.append(classes is not None)
+        return real(*args, classes=classes)
+
+    with mock.patch.object(homomorphism, "_search", spy):
+        maps = enumerate_endomorphisms(graph)
+    return [phi.images for phi in maps], modes
+
+
+def random_two_covered(rng, r, n):
+    while True:
+        graph = random_graph(rng, r, n, float(rng.uniform(0.5, 0.9)))
+        if graph.is_two_covered():
+            return graph
+
+
+class TestEndomorphismsAsAutomorphisms:
+    """Two-covered graphs enumerate their endomorphisms in injective mode."""
+
+    def oracle(self, graph):
+        if graph.n <= 6:
+            return brute_force_homomorphisms(graph, graph)
+        return backtrack_homomorphisms(graph, graph)
+
+    def test_backtrack_oracle_matches_brute_force(self):
+        rng = np.random.default_rng(80)
+        for r in (1, 2, 3):
+            for _ in range(15):
+                source = random_graph(rng, r, int(rng.integers(0, 5)), 0.5)
+                target = random_graph(rng, r, int(rng.integers(0, 5)), 0.6)
+                want = brute_force_homomorphisms(source, target)
+                assert backtrack_homomorphisms(source, target) == want
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_random_two_covered_graphs(self, r):
+        rng = np.random.default_rng(70 + r)
+        for n in range(r, 8):
+            # K_n is the only two-covered 2-graph
+            for _ in range(1 if r == 2 or n == 7 else 3):
+                graph = random_two_covered(rng, r, n)
+                got, modes = search_modes(graph)
+                assert modes == [True]
+                assert got == self.oracle(graph)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_gamma_relabelings(self, t):
+        rng = np.random.default_rng(90 + t)
+        graph = gamma(t).relabel(tuple(int(v) for v in rng.permutation(t + 4)))
+        got, modes = search_modes(graph)
+        assert modes == [True]
+        assert got == self.oracle(graph)
+        assert len(got) == {2: 8, 3: 8, 4: 24}[t]
+
+    @pytest.mark.parametrize(
+        "graph, folds",
+        [(Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)]), True), (gamma(1), False)],
+        ids=["two-edges", "gamma1"],
+    )
+    def test_other_graphs_keep_the_general_search(self, graph, folds):
+        # {012, 013} folds 3 onto 2; gamma(1)'s endomorphisms happen to be
+        # bijective, but its pair {0, 1} lies in no edge
+        assert not graph.is_two_covered()
+        got, modes = search_modes(graph)
+        assert modes == [False]
+        assert got == brute_force_homomorphisms(graph, graph)
+        assert any(len(set(images)) < graph.n for images in got) == folds
+
+    def test_limit_partial_is_lex_first(self):
+        perms = list(itertools.permutations(range(4)))
+        assert [m.images for m in enumerate_endomorphisms(K4)] == perms
+        assert [m.images for m in enumerate_endomorphisms(K4, limit=24)] == perms
+        for k in range(24):
+            with pytest.raises(BudgetExceededError) as err:
+                enumerate_endomorphisms(K4, limit=k)
+            assert [m.images for m in err.value.partial] == perms[:k]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Hypergraph.empty(3, 0),
+            Hypergraph.empty(3, 1),
+            Hypergraph(1, 1, [(0,)]),
+            Hypergraph.empty(1, 1),
+            Hypergraph(1, 3, [(0,), (2,)]),
+            Hypergraph.complete(1, 3),
+        ],
+        ids=["n0", "n1", "r1-n1-edge", "r1-n1-empty", "r1-n3", "r1-complete"],
+    )
+    def test_tiny_cases(self, graph):
+        got, modes = search_modes(graph)
+        assert modes == [graph.n <= 1]
+        assert got == brute_force_homomorphisms(graph, graph)
 
 
 def brute_force_isomorphic(h1, h2):

@@ -16,6 +16,7 @@ from turan import (
     InvalidArgumentError,
     MultilinearPoly,
     PreconditionError,
+    SegmentCertificate,
     SimplexPoint,
     fit_weight_profile,
     gamma,
@@ -29,7 +30,7 @@ from turan import (
     verify_segment,
 )
 from turan import _grid
-from turan.constructions import crossed_blowup, double_vertex
+from turan.constructions import crossed_blowup, double_vertex, gamma_base
 from turan.lagrangian import _check_first_order_maximum, _growth_step, profile_template
 from turan.verify import permute_point
 
@@ -455,6 +456,44 @@ class TestVerifySegment:
         assert all(poly.evaluate(c) == frac(1, 27) for c in corners)
         shuffled = [c[:2] + (c[3], c[2]) + c[4:] for c in corners]  # swap v1 and v1'
         assert any(poly.evaluate(c) != frac(1, 27) for c in shuffled)
+
+    @staticmethod
+    def per_sample(poly, y, z, samples, target):
+        """The certificate as one exact evaluation per sample, stopping at
+        the first miss."""
+        goal = frac(target)
+        for k in range(samples):
+            alpha = frac(k, samples - 1)
+            point = [alpha * a + (1 - alpha) * b for a, b in zip(y.as_fractions(), z.as_fractions())]
+            if poly.evaluate(point) != goal:
+                return SegmentCertificate(False, alpha, samples, goal, False)
+        return SegmentCertificate(True, None, samples, goal, samples >= poly.degree() + 1)
+
+    def test_batched_certificate_matches_per_sample_loop(self):
+        # wrong targets fail at the same first alpha as one evaluation per
+        # sample; the crossed gamma segments stay proved
+        first = SimplexPoint([frac(1, 2), frac(1, 2), frac(0), frac(0)])
+        second = SimplexPoint([frac(0), frac(0), frac(1, 2), frac(1, 2)])
+        values = [P_K4.evaluate([frac(k, 24)] * 2 + [frac(12 - k, 24)] * 2) for k in range(0, 13, 2)]
+        cases = [(P_K4, first, second, 13, target) for target in values + [frac(-1)]]
+        # x0 - 4/3 x0 x1 along (alpha, 1 - alpha) vanishes at alpha = 0 and 1/4
+        bent = MultilinearPoly(2, {(0,): frac(1), (0, 1): frac(-4, 3)})
+        ends = SimplexPoint([frac(1), frac(0)]), SimplexPoint([frac(0), frac(1)])
+        cases.append((bent, *ends, 5, 0))
+        alphas = set()
+        for case in cases:
+            cert = verify_segment(*case)
+            assert cert == self.per_sample(*case)
+            alphas.add(cert.failing_alpha)
+        assert alphas == {0, frac(1, 12), frac(1, 2)}
+        for t in (1, 2, 3):
+            base, pair, z = gamma_base(t)
+            ends = predicted_segment(base, pair, z)
+            poly = MultilinearPoly.from_hypergraph(crossed_blowup(base, pair))
+            for target in (gamma_lagrangian(t), gamma_lagrangian(t) + frac(1, 10**9)):
+                cert = verify_segment(poly, *ends, 11, target)
+                assert cert == self.per_sample(poly, *ends, 11, target)
+                assert cert.proved == (target == gamma_lagrangian(t))
 
     def test_minimum_samples(self):
         point = SimplexPoint.uniform(4)
