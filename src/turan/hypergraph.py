@@ -149,13 +149,6 @@ class Hypergraph(Frozen):
         counts = Counter(itertools.chain.from_iterable(self.edges))
         return [counts[v] for v in range(self.n)]
 
-    def covered_vertices(self) -> frozenset:
-        """Vertices that belong to at least one edge."""
-        out = set()
-        for e in self.edges:
-            out.update(e)
-        return frozenset(out)
-
     def shadow(self, steps: int = 1) -> "Hypergraph":
         """All (r-steps)-subsets contained in some edge; same vertex set.
 

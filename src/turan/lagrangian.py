@@ -1,16 +1,24 @@
 """Maximization of multilinear polynomials over the standard simplex.
 
-The optimizer runs the Baum–Eagon growth transform x <- x * grad q / (x . grad q)
-on all starts at once, as one (starts, m) batch, where q is the polynomial
-homogenized with nonnegative coefficients (Gopalakrishnan et al. 1991), so
-every step raises the value with no step size.  It is cross-checked against
-an exact-rational grid enumeration; values that land near a small-denominator
-rational are snapped and re-verified exactly.  Where a closed optimal set
-exists, it is certified by exact segment evaluation rather than recomputed.
+The optimizer first merges twin variables (p depends on a twin class only
+through its sum), then runs the Baum–Eagon growth transform
+x <- x * grad q / (x . grad q) on all starts at once, as one (starts, m)
+batch, where q is the polynomial homogenized with nonnegative coefficients
+(Gopalakrishnan et al. 1991), so every step raises the value with no step
+size.  Near an optimum on a face the transform only shrinks the vanishing
+coordinates geometrically (Bomze 1997), so at a few batch steps the best
+rows with such a coordinate are finished by an active-set Newton polish,
+kept only where it lands on an isolated KKT point no worse than the row.  It
+is cross-checked against an exact-rational grid enumeration; values that
+land near a small-denominator rational are snapped and re-verified exactly.
+Where a closed optimal set exists, it is certified by exact segment
+evaluation rather than recomputed.  Each phase logs what it did to the
+``turan`` logger at DEBUG.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,9 +46,31 @@ SNAP_WINDOW = 1e-7
 #: PLATEAU_RISE over PLATEAU_ITERATIONS batch iterations.
 PLATEAU_RISE = 1e-15
 PLATEAU_ITERATIONS = 50
+#: At batch steps POLISH_EVERY, 2 POLISH_EVERY, 4 POLISH_EVERY, ..., up to
+#: POLISH_ROWS of the best unconverged rows with a slowly decaying
+#: coordinate get at most POLISH_STEPS active-set Newton steps (see
+#: :func:`_polish`).
+POLISH_EVERY = 25
+POLISH_ROWS = 3
+POLISH_STEPS = 10
 
 _FLOAT_SUM_TOL = 1e-12
 _ACTIVE_EPS = 1e-9
+#: A coordinate below _DECAY_SMALL that the growth step shrinks decays;
+#: it decays slowly when a step keeps more than _DECAY_SLOW of it.
+_DECAY_SMALL = 0.05
+_DECAY_SLOW = 0.9
+#: A Newton step at most this long ends the search on the current face.
+_NEWTON_SETTLED = 1e-9
+#: Near an isolated root each Newton step is at most this fraction of the
+#: one before (the error squares); near a non-isolated one it only halves.
+_NEWTON_CONTRACTION = 0.25
+#: A polished point's zero coordinates must have partials at least this far
+#: below x . grad (strict complementarity), and its Hessian must be at least
+#: this negative along its face, else it is no isolated local maximum.
+_FACE_MARGIN = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 class SimplexPoint(Frozen):
@@ -135,15 +165,19 @@ class GridResult(NamedTuple):
 class MaximizeStats:
     """What one :func:`maximize` call did; deterministic for a fixed seed.
 
-    ``grid_points`` grid points at ``grid_resolution`` were scanned.  The
-    batched ascent took ``iterations`` growth steps and stopped for
-    ``stop_reason``: ``"tol"`` (every start's KKT residual within the
-    tolerance), ``"plateau"`` (the best start stalled) or ``"cap"``
-    (``max_iter`` reached); ``starts_converged`` starts ended within the
-    tolerance.  ``phase`` names what produced the reported value:
-    ``"ascent"``, ``"grid"`` or ``"snap"``.  ``snap_denominator`` is the
-    common denominator of the snapped maximizer, None when nothing snapped.
-    The zero polynomial scans no grid and takes no step.
+    ``twins_merged`` variables were merged into a twin of lower index
+    before the solve, and the grid and the ascent ran on the merged
+    polynomial: ``grid_points`` grid points at ``grid_resolution`` of the
+    merged scan (the resolution is chosen from the unmerged variable
+    count).  The batched ascent took ``iterations`` growth steps and
+    stopped for ``stop_reason``: ``"tol"`` (every start's KKT residual
+    within the tolerance), ``"plateau"`` (the best start stalled) or
+    ``"cap"`` (``max_iter`` reached); ``starts_converged`` starts ended
+    within the tolerance.  ``phase`` names what produced the reported
+    value: ``"ascent"``, ``"polish"`` (a row the Newton polish finished),
+    ``"grid"`` or ``"snap"``.  ``snap_denominator`` is the common
+    denominator of the snapped maximizer, None when nothing snapped.  The
+    zero polynomial scans no grid and takes no step.
     """
 
     grid_resolution: int
@@ -153,6 +187,7 @@ class MaximizeStats:
     starts_converged: int
     phase: str
     snap_denominator: Optional[int]
+    twins_merged: int
 
 
 @dataclass(frozen=True)
@@ -206,16 +241,40 @@ def _growth_step(kernel: PolyKernel, X: np.ndarray, G: np.ndarray) -> np.ndarray
 
 def _growth_ascent(kernel: PolyKernel, X: np.ndarray, tol: float, max_iter: int):
     """Growth steps on all rows of X until every row is a KKT point within
-    ``tol``, the best row stalls, or ``max_iter`` steps.
+    ``tol``, the best row stalls, or ``max_iter`` steps.  At the polish
+    steps, the points :func:`_polish` accepts replace their rows.
 
-    Returns (points, values, steps taken, stop reason, rows within tol).
+    Returns (points, values, steps taken, stop reason, rows within tol,
+    mask of the rows that were polished).
     """
     best = -np.inf
     risen_at = 0
+    polished = np.zeros(X.shape[0], dtype=bool)
+    polish_at = POLISH_EVERY
     for it in range(max_iter + 1):
         F = kernel.values(X)
         G = kernel.gradients(X)
-        converged = _kkt_residuals(X, G) <= tol
+        residuals = _kkt_residuals(X, G)
+        if it == polish_at:
+            polish_at *= 2
+            # the best rows outside tol with a slowly decaying coordinate
+            _, slow = _decaying(kernel, X, G)
+            rows = np.flatnonzero((residuals > tol) & slow.any(axis=1))
+            rows = rows[np.argsort(-F[rows], kind="stable")[:POLISH_ROWS]]
+            if rows.size:
+                points, ok, steps = _polish(kernel, X[rows], F[rows], tol)
+                if _log.isEnabledFor(logging.DEBUG):
+                    _log.debug("polish at step %d: %d rows tried, %d accepted, faces of %s "
+                               "coordinates, %d Newton steps", it, rows.size, int(ok.sum()),
+                               (points[ok] > 0).sum(axis=1).tolist(), steps)
+                if ok.any():
+                    X[rows[ok]] = points[ok]
+                    polished[rows[ok]] = True
+                    # the next growth step must see the polished rows' gradients
+                    F = kernel.values(X)
+                    G = kernel.gradients(X)
+                    residuals = _kkt_residuals(X, G)
+        converged = residuals <= tol
         top = float(F.max())
         if top > best + PLATEAU_RISE:
             best, risen_at = top, it
@@ -228,7 +287,150 @@ def _growth_ascent(kernel: PolyKernel, X: np.ndarray, tol: float, max_iter: int)
         else:
             X = _growth_step(kernel, X, G)
             continue
-        return X, F, it, reason, int(converged.sum())
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("ascent: %d steps, stopped on %s, %d of %d rows within tol",
+                       it, reason, int(converged.sum()), len(X))
+        return X, F, it, reason, int(converged.sum()), polished
+
+
+def _decaying(kernel: PolyKernel, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates below _DECAY_SMALL that a growth step shrinks, and those
+    of them it shrinks slowly.
+
+    A growth step scales x_i by (g_i + K) / (x . g + K) (see
+    :func:`_growth_step`); on a face optimum with g_i < x . g that factor
+    stays below 1, so x_i only decays geometrically.  Above _DECAY_SLOW the
+    decay takes hundreds of steps.  Returns two boolean masks shaped as X.
+    """
+    shift = kernel.homogenizing_shift(X)[:, None]
+    level = np.einsum("ij,ij->i", X, G)[:, None] + shift
+    rate = np.divide(G + shift, level, out=np.ones_like(G), where=level > 0)
+    decaying = (X < _DECAY_SMALL) & (rate < 1.0)
+    return decaying, decaying & (rate > _DECAY_SLOW)
+
+
+def _polish(kernel: PolyKernel, X: np.ndarray, F: np.ndarray, tol: float):
+    """Active-set Newton from every row of X at once (Nocedal & Wright,
+    *Numerical Optimization*, ch. 16).
+
+    A row's face S starts as its support without the decaying coordinates.
+    A step solves the KKT system of S for the step dx and the new
+    multiplier mu,
+
+        [H_SS  -1] [dx]   [     -g_S      ]
+        [1^T    0] [mu] = [ 1 - sum_S x_i ],
+
+    as one (m + 1)-square system per row, with an identity row for every
+    coordinate outside S, and stops at the first coordinate that would go
+    negative, dropping it from S.  After a step at most _NEWTON_SETTLED
+    long, the coordinate outside S with the largest partial above
+    x . g + tol joins S; with none, the row is finished.  A row is given up
+    when a step is not finite or longer than _NEWTON_CONTRACTION times the
+    one before on the same face (a singular system gives no finite step), and
+    after POLISH_STEPS steps.
+
+    Returns (points, ok, Newton steps): ok marks the finished rows that lie
+    on the simplex, are KKT points within ``tol`` whose zero coordinates all
+    have partials at least _FACE_MARGIN below x . g, are strict local
+    maxima on their face (:func:`_concave_on_face`), and have values at
+    least F.  Such a point is an isolated local maximum, which the growth
+    step leaves in place.
+    """
+    Y = X.copy()
+    count, m = Y.shape
+    Y[_decaying(kernel, Y, kernel.gradients(Y))[0]] = 0.0
+    face = Y > 0.0
+    last = np.full(count, np.inf)
+    settled = np.zeros(count, dtype=bool)
+    live = np.ones(count, dtype=bool)
+    finished = np.zeros(count, dtype=bool)
+    diagonal = np.arange(m)
+    steps = 0
+    while live.any() and steps < POLISH_STEPS:
+        steps += 1
+        rows = np.flatnonzero(live)
+        x, f = Y[rows], face[rows]
+        g, h = kernel.gradients(x), kernel.hessians(x)
+        # a settled row is finished unless a partial outside S beats x . g,
+        # and then the largest such coordinate joins S
+        outside = np.where(f, -np.inf, g)
+        enter = np.argmax(outside, axis=1)
+        beats = outside[np.arange(rows.size), enter] > np.einsum("ij,ij->i", x, g) + tol
+        done = settled[rows] & ~beats
+        finished[rows[done]], live[rows[done]] = True, False
+        joins = settled[rows] & beats
+        f[joins, enter[joins]] = True
+        last[rows[joins]] = np.inf
+        rows, x, f, g, h = rows[~done], x[~done], f[~done], g[~done], h[~done]
+        A = np.zeros((rows.size, m + 1, m + 1))
+        A[:, :m, :m] = np.where(f[:, :, None] & f[:, None, :], h, 0.0)
+        A[:, diagonal, diagonal] += ~f
+        A[:, :m, m] = np.where(f, -1.0, 0.0)
+        A[:, m, :m] = f
+        b = np.append(np.where(f, -g, 0.0), 1.0 - (x * f).sum(axis=1, keepdims=True), axis=1)
+        dx = _solve_each(A, b)[:, :m]
+        length = np.abs(dx).max(axis=1)
+        contracts = np.isfinite(length) & (length <= _NEWTON_CONTRACTION * last[rows])
+        live[rows[~contracts]] = False
+        # ratio test: the first coordinate to reach 0 ends the step and leaves S
+        ratios = np.full(dx.shape, np.inf)
+        np.divide(-x, dx, out=ratios, where=dx < 0)
+        blocking = np.argmin(ratios, axis=1)
+        reach = np.minimum(ratios[np.arange(rows.size), blocking], 1.0)
+        x = np.clip(x + reach[:, None] * dx, 0.0, None)
+        blocked = np.flatnonzero(reach < 1.0)
+        x[blocked, blocking[blocked]] = 0.0
+        f[blocked, blocking[blocked]] = False
+        Y[rows], face[rows] = x, f
+        last[rows] = length
+        last[rows[blocked]] = np.inf
+        settled[rows] = (length <= _NEWTON_SETTLED) & (reach == 1.0)
+    rows = np.flatnonzero(finished)
+    ok = np.zeros(count, dtype=bool)
+    if rows.size:
+        total = Y[rows].sum(axis=1)
+        Y[rows] /= total[:, None]
+        G = kernel.gradients(Y[rows])
+        level = np.einsum("ij,ij->i", Y[rows], G)[:, None]
+        complementary = np.where(Y[rows] > 0.0, True, G <= level - _FACE_MARGIN).all(axis=1)
+        concave = [_concave_on_face(h, y) for h, y in zip(kernel.hessians(Y[rows]), Y[rows])]
+        ok[rows] = (
+            (np.abs(total - 1.0) <= _FLOAT_SUM_TOL)
+            & (_kkt_residuals(Y[rows], G) <= tol)
+            & complementary
+            & concave
+            & (kernel.values(Y[rows]) >= F[rows])
+        )
+    return Y, ok, steps
+
+
+def _concave_on_face(h: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the Hessian h is negative definite, by more than _FACE_MARGIN,
+    on the directions that keep y on its face of the simplex (a Cholesky
+    factorization of the negated restriction exists); with strict
+    complementarity that makes y a strict local maximum."""
+    S = np.flatnonzero(y > 0.0)
+    # the columns e_k - e_0, k >= 1, span the directions with sum 0 on S
+    Z = np.eye(S.size)[:, 1:] - np.eye(S.size)[:, :1]
+    try:
+        np.linalg.cholesky(-Z.T @ h[np.ix_(S, S)] @ Z - _FACE_MARGIN * np.eye(S.size - 1))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A[k] y = b[k] for every k; a singular A[k] gives a NaN row."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for k, (a, v) in enumerate(zip(A, b)):
+            try:
+                out[k] = np.linalg.solve(a, v)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +476,19 @@ def maximize(
 ) -> LagrangianResult:
     """Best-effort global maximum of ``poly`` over the standard simplex.
 
-    Deterministic for a fixed seed: the first start is the uniform point and
-    the rest are Dirichlet(1) samples.  All starts ascend together as one
-    batch of growth-transform steps (see the module docstring) until every
-    start is a KKT point within ``tol``, the best start has stalled, or
-    ``max_iter`` steps.  The reported value is the best start's or the
-    exact grid enumeration's, whichever is higher; ties between starts
-    break toward the lexicographically smallest coordinate vector.  A value
-    near a small-denominator rational is snapped and reported in ``exact``
-    only when exact evaluation at a snapped point reproduces it.
+    Twin variables (see :meth:`MultilinearPoly.twin_classes`) are merged
+    first; the maximizer puts each class's weight on its lowest member, and
+    ``kkt_residual`` is computed there on ``poly`` itself.  Deterministic
+    for a fixed seed: the first start is the uniform point and the rest are
+    Dirichlet(1) samples.  All starts ascend together as one batch of
+    growth-transform steps, with the polish (see the module docstring),
+    until every start is a KKT point within ``tol``, the best start has
+    stalled, or ``max_iter`` steps.  The reported value is the best
+    start's or the exact grid enumeration's, whichever is higher; ties
+    between starts break toward the lexicographically smallest coordinate
+    vector.  A value near a small-denominator rational is snapped and
+    reported in ``exact`` only when exact evaluation at a snapped point
+    reproduces it.
     """
     if poly.m < 1:
         raise InvalidArgumentError("maximize needs at least one variable")
@@ -305,20 +511,32 @@ def maximize(
             kkt_residual=0.0,
             starts_used=0,
             grid_lower_bound=0.0,
-            stats=MaximizeStats(0, 0, 0, "tol", 0, "ascent", None),
+            stats=MaximizeStats(0, 0, 0, "tol", 0, "ascent", None, 0),
         )
 
-    resolution = grid_resolution if grid_resolution is not None else _auto_resolution(m)
-    grid = grid_oracle(poly, resolution, budget=budget)
-    grid_float = float(grid.value)
+    # p depends on a twin class only through its sum: solve with one
+    # variable per class, then put each class's weight on its lowest member
+    keep = [members[0] for members in poly.twin_classes()]
+    merged = poly if len(keep) == m else _merge_twins(poly, keep)
+    size = merged.m
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("twins: %d variables in %d classes", m, size)
 
-    kernel = poly.kernel
+    resolution = grid_resolution if grid_resolution is not None else _auto_resolution(m)
+    grid = grid_oracle(merged, resolution, budget=budget)
+    grid_float = float(grid.value)
+    grid_points = _grid.composition_count(resolution, size)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("grid: resolution %d, %d points, best %s", resolution, grid_points, grid.value)
+
     rng = np.random.default_rng(seed)
-    uniform = np.full((1, m), 1.0 / m)
-    X = np.vstack([uniform, rng.dirichlet(np.ones(m), size=starts - 1)])
+    uniform = np.full((1, size), 1.0 / size)
+    X = np.vstack([uniform, rng.dirichlet(np.ones(size), size=starts - 1)])
     X = np.clip(X, 1e-300, None)
     X /= X.sum(axis=1, keepdims=True)
-    X, F, iterations, stop_reason, converged = _growth_ascent(kernel, X, tol, max_iter)
+    X, F, iterations, stop_reason, converged, polished = _growth_ascent(
+        merged.kernel, X, tol, max_iter
+    )
 
     best = 0
     for k in range(1, starts):
@@ -328,15 +546,15 @@ def maximize(
             best = k
     best_x = X[best]
     value = float(F[best])
-    phase = "ascent"
-    maximizer = SimplexPoint(best_x.tolist())
+    phase = "polish" if polished[best] else "ascent"
+    maximizer = best_x.tolist()
     if grid_float > value:
         value, phase = grid_float, "grid"
-        maximizer = SimplexPoint(grid.point.as_float_array().tolist())
+        maximizer = grid.point.as_float_array().tolist()
 
     exact = None
     snap_denominator = None
-    snapped = _snap(poly, value, best_x)
+    snapped = _snap(merged, value, best_x)
     if snapped is None and Fraction(value).limit_denominator(SNAP_DENOMINATOR) == grid.value:
         # the grid point itself attains the snapped value exactly
         snapped = (grid.value, grid.point.as_fractions())
@@ -344,25 +562,46 @@ def maximize(
         exact, point = snapped
         if float(exact) > value:
             value, phase = float(exact), "snap"
-        maximizer = SimplexPoint([float(v) for v in point])
+        maximizer = [float(v) for v in point]
         snap_denominator = math.lcm(*(c.denominator for c in point))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("snap: %s, denominator %s, value from %s", exact, snap_denominator, phase)
+    lifted = [0.0] * m
+    for i, c in zip(keep, maximizer):
+        lifted[i] = c
+    maximizer = SimplexPoint(lifted)
     x = maximizer.as_float_array()[None]
     return LagrangianResult(
         value=value,
         exact=exact,
         maximizer=maximizer,
-        kkt_residual=float(_kkt_residuals(x, kernel.gradients(x))[0]),
+        kkt_residual=float(_kkt_residuals(x, poly.kernel.gradients(x))[0]),
         starts_used=starts,
         grid_lower_bound=grid_float,
         stats=MaximizeStats(
             grid_resolution=resolution,
-            grid_points=_grid.composition_count(resolution, m),
+            grid_points=grid_points,
             iterations=iterations,
             stop_reason=stop_reason,
             starts_converged=converged,
             phase=phase,
             snap_denominator=snap_denominator,
+            twins_merged=m - size,
         ),
+    )
+
+
+def _merge_twins(poly: MultilinearPoly, keep: Sequence[int]) -> MultilinearPoly:
+    """``poly`` on the variables ``keep`` (one per twin class, renumbered
+    0, 1, ... in order), with every other variable set to 0."""
+    index = {v: k for k, v in enumerate(keep)}
+    return MultilinearPoly(
+        len(keep),
+        {
+            tuple(index[i] for i in subset): coef
+            for subset, coef in poly.terms.items()
+            if all(i in index for i in subset)
+        },
     )
 
 

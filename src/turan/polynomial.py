@@ -8,6 +8,8 @@ float evaluation as a derived mode.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,8 +231,24 @@ class MultilinearPoly(Frozen):
                 return subset
         return None
 
-    def is_symmetric_in(self, i: int, j: int) -> bool:
-        return self.asymmetry_witness(i, j) is None
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The variables grouped into twin classes, ordered by lowest member.
+
+        X_i and X_j are twins when no term holds both and swapping them
+        fixes every coefficient, so p depends on them only through
+        X_i + X_j.  That is exactly when their links {(S - i, c_S) : i in S}
+        are equal (a term holding both would put X_j in the link of X_i but
+        never in its own), so classes are found by hashing links.
+        Variables in no term form one class.
+        """
+        links: list[list] = [[] for _ in range(self.m)]
+        for subset, coef in self.terms.items():
+            for i in subset:
+                links[i].append((tuple(k for k in subset if k != i), coef))
+        classes: dict[frozenset, list[int]] = {}
+        for i, link in enumerate(links):
+            classes.setdefault(frozenset(link), []).append(i)
+        return tuple(tuple(members) for members in classes.values())
 
     def symmetric_decompose(self, i: int, j: int) -> "SymmetricDecomposition":
         """Split a polynomial symmetric in X_i, X_j as p1 + p2(Xi+Xj) + p3 XiXj.
@@ -368,7 +386,9 @@ class PolyKernel:
     (S, m) array, a chunk of rows at a time; :meth:`gradients` takes, for
     every (term, position) pair in the same degree-then-position order, the
     product of the term's other variables and adds them in that order with
-    one ``bincount``.  A single point is a one-row batch.  Exact:
+    one ``bincount``, and :meth:`hessians` does the same for every (term,
+    position pair).  A single point is a one-row batch, and a row's result
+    does not depend on the batch around it.  Exact:
     :meth:`batch` scores integer rows one term column at a time, in int64
     or Python integers, so memory stays at a few row-length vectors.
     :meth:`rational_values` scores rational points scaled to integer rows,
@@ -452,16 +472,62 @@ class PolyKernel:
         """
         return self._sums(X, self._shift_groups, self._shift_constant)
 
+    def hessians(self, X: np.ndarray) -> np.ndarray:
+        """Float Hessians at every row of an (S, m) array, as an (S, m, m) array.
+
+        Entry (i, j), i < j, adds the product of the other variables of every
+        term holding both, in the fixed order of :attr:`_pairs`, with one
+        ``bincount``; (j, i) mirrors it, and the diagonal of a multilinear
+        polynomial's Hessian is 0.
+        """
+        groups, targets, width = self._pairs
+        square = self.m * self.m
+        out = np.zeros((X.shape[0], square))
+        if targets is not None:
+            for rows in self._chunks(X.shape[0], width):
+                block = X[rows]
+                n = block.shape[0]
+                terms = np.concatenate(
+                    [coefs * np.prod(block[:, others], axis=2) for others, coefs in groups],
+                    axis=1,
+                )
+                bins = (np.arange(n)[:, None] * square + targets).ravel()
+                out[rows] = np.bincount(
+                    bins, weights=terms.ravel(), minlength=n * square
+                ).reshape(n, square)
+        upper = out.reshape(X.shape[0], self.m, self.m)
+        return upper + upper.transpose(0, 2, 1)
+
+    @functools.cached_property
+    def _pairs(self):
+        """For :meth:`hessians`, built on first use: per degree group, the
+        other variables of every (term, position pair a < b) and their
+        coefficients; the flat targets i * m + j of those pairs; and the
+        gathered row width."""
+        groups, targets = [], []
+        for idx, coefs in self.groups:
+            pairs = list(itertools.combinations(range(idx.shape[1]), 2))
+            if pairs:
+                others = [np.delete(idx, pair, axis=1) for pair in pairs]
+                groups.append((np.vstack(others), np.tile(coefs, len(pairs))))
+                targets.extend(idx[:, a] * self.m + idx[:, b] for a, b in pairs)
+        if not targets:
+            return groups, None, 1
+        width = sum(others.shape[0] * (others.shape[1] + 1) for others, _ in groups)
+        return groups, np.concatenate(targets), width
+
     def _sums(self, X: np.ndarray, groups, constant: float) -> np.ndarray:
         out = np.full(X.shape[0], constant)
         for rows in self._chunks(X.shape[0]):
             block = X[rows]
             for idx, coefs in groups:
-                out[rows] += np.prod(block[:, idx], axis=2) @ coefs
+                # a row-wise sum adds each row's terms in one fixed order,
+                # whatever the row count; a matrix product does not
+                out[rows] += (np.prod(block[:, idx], axis=2) * coefs).sum(axis=1)
         return out
 
-    def _chunks(self, count: int):
-        step = max(1, _CHUNK_ELEMENTS // self._row_width)
+    def _chunks(self, count: int, width: int | None = None):
+        step = max(1, _CHUNK_ELEMENTS // (width or self._row_width))
         return (slice(start, start + step) for start in range(0, count, step))
 
     def integer_coefficients(self, total: int) -> tuple[list[int], int]:

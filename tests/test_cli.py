@@ -76,7 +76,7 @@ class TestLagrangianCommand:
         assert data == json.loads(plain)
         expected = maximize(MultilinearPoly.from_hypergraph(gamma(2)), starts=20).stats
         assert stats == dataclasses.asdict(expected)
-        assert stats["grid_points"] > 0 and stats["phase"] in ("ascent", "grid", "snap")
+        assert stats["grid_points"] > 0 and stats["phase"] in ("ascent", "grid", "snap", "polish")
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_graph(tmp_path, "g.hg", gamma(2))

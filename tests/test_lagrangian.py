@@ -2,7 +2,9 @@
 
 import copy
 import itertools
+import logging
 import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +31,19 @@ from turan import (
     tight_cycle,
     verify_segment,
 )
-from turan import _grid
+from turan import _grid, lagrangian
 from turan.constructions import crossed_blowup, double_vertex, gamma_base
-from turan.lagrangian import _check_first_order_maximum, _growth_step, profile_template
+from turan.lagrangian import (
+    DEFAULT_TOL,
+    _check_first_order_maximum,
+    _concave_on_face,
+    _growth_step,
+    _merge_twins,
+    profile_template,
+)
 from turan.verify import permute_point
+
+from test_polynomial import plant_twin
 
 K4 = Hypergraph.complete(3, 4)
 P_K4 = MultilinearPoly.from_hypergraph(K4)
@@ -256,7 +267,8 @@ class TestMaximizeStats:
         assert stats.grid_points == _grid.composition_count(10, poly.m)
         assert stats.stop_reason in ("tol", "plateau", "cap")
         assert 0 <= stats.starts_converged <= 20
-        assert stats.phase in ("ascent", "grid", "snap")
+        assert stats.phase in ("ascent", "grid", "snap", "polish")
+        assert stats.twins_merged == 0
         assert result.exact is not None
         for c in result.maximizer:
             assert (Fraction(c).limit_denominator(10**6) * stats.snap_denominator).denominator == 1
@@ -278,6 +290,142 @@ class TestMaximizeStats:
     def test_negative_max_iter_rejected(self):
         with pytest.raises(InvalidArgumentError):
             maximize(P_K4, max_iter=-1)
+
+
+def pool_graph(n):
+    """The optimize workload's random n-vertex 3-graph, unrelabeled: drawn
+    from a Random(2022) pool in size order 5, 6, 7, 8, each triple kept
+    with probability 1/2."""
+    rng = random.Random(2022)
+    for size in range(5, n + 1):
+        triples = list(itertools.combinations(range(size), 3))
+        edges = []
+        while not edges:
+            edges = [e for e in triples if rng.random() < 0.5]
+    return Hypergraph(3, n, edges)
+
+
+def without_polish(patch):
+    """Test-only reference: the ascent never reaches a polish step."""
+    patch.setattr(lagrangian, "POLISH_EVERY", 10**9)
+
+
+def without_twin_merge(patch):
+    """Test-only reference: every variable is its own twin class."""
+    patch.setattr(MultilinearPoly, "twin_classes", lambda self: tuple((i,) for i in range(self.m)))
+
+
+def reference(patcher, poly, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patcher(patch)
+        return maximize(poly, **kwargs)
+
+
+RANDOM_7 = pool_graph(7)
+RANDOM_7_DOUBLED = double_vertex(RANDOM_7, max(range(7), key=lambda v: (RANDOM_7.degree(v), -v)))
+TWIN_POLYS = [
+    MultilinearPoly.from_hypergraph(graph)
+    for graph in (
+        double_vertex(K4, 0),
+        double_vertex(tight_cycle(5), 2),
+        double_vertex(double_vertex(gamma(2), 3), 3),
+        double_vertex(TWO_EDGE_BASE, 2),
+        RANDOM_7_DOUBLED,
+    )
+] + [plant_twin(p, p.m - 1) for p in SIGNED_POLYS[:6]]
+
+
+class TestTwinMerge:
+    @pytest.mark.parametrize("poly", TWIN_POLYS, ids=lambda p: f"m{p.m}t{len(p.terms)}")
+    def test_grid_oracle_unchanged(self, poly):
+        keep = [members[0] for members in poly.twin_classes()]
+        assert len(keep) < poly.m
+        merged = _merge_twins(poly, keep)
+        for resolution in (5, 9):
+            assert grid_oracle(merged, resolution).value == grid_oracle(poly, resolution).value
+
+    @pytest.mark.parametrize("poly", TWIN_POLYS, ids=lambda p: f"m{p.m}t{len(p.terms)}")
+    def test_maximize_matches_unmerged(self, poly):
+        result = maximize(poly, starts=20)
+        unmerged = reference(without_twin_merge, poly, starts=20)
+        classes = poly.twin_classes()
+        assert result.stats.twins_merged == poly.m - len(classes)
+        assert unmerged.stats.twins_merged == 0
+        assert result.exact == unmerged.exact
+        assert abs(result.value - unmerged.value) <= 1e-12
+        for members in classes:
+            assert all(result.maximizer[i] == 0 for i in members[1:])
+        if result.exact is not None:
+            denominator = result.stats.snap_denominator
+            coords = [Fraction(c).limit_denominator(denominator) for c in result.maximizer]
+            assert poly.evaluate(coords) == result.exact
+
+    def test_doubling_gap_closes(self):
+        # the doubled graph solves as its base, to the last digit
+        base = maximize(MultilinearPoly.from_hypergraph(RANDOM_7), starts=10)
+        doubled = maximize(MultilinearPoly.from_hypergraph(RANDOM_7_DOUBLED), starts=10)
+        assert doubled.value == base.value
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "poly",
+        [MultilinearPoly.from_hypergraph(g) for g in (RANDOM_7, RANDOM_7_DOUBLED)]
+        + SIGNED_POLYS,
+        ids=lambda p: f"m{p.m}t{len(p.terms)}",
+    )
+    def test_never_below_unpolished(self, poly):
+        result = maximize(poly, starts=10, seed=1)
+        unpolished = reference(without_polish, poly, starts=10, seed=1)
+        assert result.value >= unpolished.value
+        assert result.exact == unpolished.exact
+        assert result.kkt_residual <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("graph", [RANDOM_7, RANDOM_7_DOUBLED], ids=["random-7", "doubled"])
+    def test_step_count_bound(self, graph):
+        # 75 batch steps each: the first polish lands the best row on its
+        # face at step 25, and the ascent stops 50 steps later on plateau;
+        # unpolished, both take over 2,200
+        stats = maximize(MultilinearPoly.from_hypergraph(graph), starts=10).stats
+        assert stats.iterations <= 200
+        if graph is RANDOM_7:
+            assert stats.phase == "polish"
+
+    @pytest.mark.parametrize(
+        "graph",
+        [gamma(t) for t in (1, 2, 3, 4)]
+        + [Hypergraph.complete(3, n) for n in (4, 5, 6)]
+        + [crossed_blowup(tight_cycle(5), (3, 4))],
+        ids=[f"gamma({t})" for t in (1, 2, 3, 4)] + ["K4", "K5", "K6", "crossed-C5"],
+    )
+    def test_segment_optima_untouched(self, graph):
+        # their zero coordinates have partials equal to the multiplier (or
+        # Newton only halves its steps), so no polished row is accepted and
+        # the result is the unpolished one, field for field
+        poly = MultilinearPoly.from_hypergraph(graph)
+        assert maximize(poly) == reference(without_polish, poly)
+
+    def test_face_concavity(self):
+        # x0 x1 peaks at (1/2, 1/2) along its edge, -x0 x1 bottoms out
+        # there, and a linear polynomial is flat; a vertex has no direction
+        edge, vertex = np.array([0.5, 0.5, 0.0]), np.array([0.0, 1.0, 0.0])
+        for terms, peak in (({(0, 1): 1}, True), ({(0, 1): -1}, False), ({(0,): 1}, False)):
+            kernel = MultilinearPoly(3, terms).kernel
+            assert _concave_on_face(kernel.hessians(edge[None])[0], edge) == peak
+            assert _concave_on_face(kernel.hessians(vertex[None])[0], vertex)
+
+    def test_debug_log(self, caplog):
+        poly = MultilinearPoly.from_hypergraph(RANDOM_7_DOUBLED)
+        with caplog.at_level(logging.WARNING, logger="turan"):
+            maximize(poly, starts=10)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="turan"):
+            maximize(poly, starts=10)
+        messages = [r.getMessage() for r in caplog.records]
+        assert all(r.name.startswith("turan") and r.levelno == logging.DEBUG for r in caplog.records)
+        for head in ("twins: 8 variables in 7 classes", "grid: resolution", "polish at step 25",
+                     "ascent: 75 steps, stopped on plateau", "snap: None"):
+            assert any(m.startswith(head) for m in messages), head
 
 
 def gamma_lagrangian_for(graph):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turan import (
     AsymmetryError,
@@ -305,6 +305,44 @@ def assert_matches_oracle(poly, x):
     assert Fraction(int(scored[0]), scale) == exact
 
 
+def plant_twin(poly, v):
+    """``poly`` with one more variable, m, whose link is the link of v."""
+    terms = dict(poly.terms)
+    for subset, coef in poly.terms.items():
+        if v in subset:
+            terms[tuple(k for k in subset if k != v) + (poly.m,)] = coef
+    return MultilinearPoly(poly.m + 1, terms)
+
+
+class TestTwinClasses:
+    @staticmethod
+    def twins(poly, i, j):
+        """The definition: no term holds both, and swapping them fixes p."""
+        together = any(i in s and j in s for s in poly.terms)
+        return not together and poly.asymmetry_witness(i, j) is None
+
+    @given(signed_polys(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pairwise_definition(self, poly, data):
+        for _ in range(data.draw(st.integers(0, 2))):
+            poly = plant_twin(poly, data.draw(st.integers(0, poly.m - 1)))
+        classes = poly.twin_classes()
+        assert sorted(itertools.chain(*classes)) == list(range(poly.m))
+        assert all(list(c) == sorted(c) for c in classes)
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        for members in classes:
+            assert all(self.twins(poly, i, j) for i, j in itertools.combinations(members, 2))
+        for a, b in itertools.combinations(classes, 2):
+            assert not self.twins(poly, a[0], b[0])
+
+    def test_doubled_vertex_and_unused_variables(self):
+        doubled = MultilinearPoly.from_hypergraph(double_vertex(Hypergraph.complete(3, 4), 1))
+        assert doubled.twin_classes() == ((0,), (1, 4), (2,), (3,))
+        assert P_K4.twin_classes() == ((0,), (1,), (2,), (3,))
+        p = MultilinearPoly(5, {(1,): 2, (3,): 2, (): 1})
+        assert p.twin_classes() == ((0, 2, 4), (1, 3))
+
+
 class TestKernelDifferential:
     """The compiled kernel against exact Fraction evaluation."""
 
@@ -317,6 +355,16 @@ class TestKernelDifferential:
         grad = poly.gradient(xf)
         for k in range(poly.m):
             assert abs(grad[k] - fraction_oracle(poly.partial(k), x)) <= 1e-12
+
+    @given(signed_polys(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hessian_matches_symbolic_partials(self, poly, data):
+        x = rational_point(data.draw, poly.m)
+        H = poly.kernel.hessians(np.array([[float(v) for v in x]]))[0]
+        np.testing.assert_array_equal(H, H.T)
+        for i, j in itertools.product(range(poly.m), repeat=2):
+            want = 0 if i == j else fraction_oracle(poly.partial(i).partial(j), x)
+            assert abs(H[i, j] - want) <= 1e-12
 
     @given(signed_polys(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -340,6 +388,8 @@ class TestKernelDifferential:
 
     @given(signed_polys(), st.integers(1, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
+    # a matrix product summed these four terms in another order for one row
+    @example(MultilinearPoly(5, {(0,): 2, (1,): 1, (2,): 1, (3,): 1}), 2, 0)
     def test_batched_rows_match_single_point(self, poly, rows, seed):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1.0, 1.0, size=(rows, poly.m))
@@ -349,13 +399,16 @@ class TestKernelDifferential:
             patch.setattr(polynomial, "_CHUNK_ELEMENTS", 3 * kernel._row_width)
             values, grads = kernel.values(X), kernel.gradients(X)
             shifts = kernel.homogenizing_shift(X)
+            hessians = kernel.hessians(X)
         assert values.shape == (rows,) and grads.shape == (rows, poly.m)
+        assert hessians.shape == (rows, poly.m, poly.m)
         d = kernel.degree
         negative = -sum(min(c, 0) for c in poly.terms.values())
         for k, (x, shift) in enumerate(zip(X, shifts)):
             # a row of a chunked batch is bit for bit a one-row batch
             assert values[k] == kernel.values(X[k : k + 1])[0]
             np.testing.assert_array_equal(grads[k], kernel.gradients(X[k : k + 1])[0])
+            np.testing.assert_array_equal(hessians[k], kernel.hessians(X[k : k + 1])[0])
             exact = negative * d + sum(
                 c * (d - len(s)) * np.prod([Fraction(x[i]) for i in s])
                 for s, c in poly.terms.items()
