@@ -1,8 +1,7 @@
-"""Dense tables of integer compositions.
+"""Stacked tables of integer compositions.
 
-Compositions of ``total`` into ``parts`` nonnegative parts are listed in
-lexicographic order as numpy arrays, so "first maximum found" always means
-"lexicographically smallest maximizer".
+Compositions of each sum are listed in lexicographic order as numpy arrays,
+so "first maximum found" always means "lexicographically smallest maximizer".
 """
 
 from __future__ import annotations
@@ -20,33 +19,28 @@ def composition_count(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
-class _DenseTable:
-    """Memoized dense composition arrays keyed by (total, parts).
+def compositions(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every composition of every s <= total into ``parts`` parts, stacked.
 
-    ``dense(total, 0)`` is one empty row for total 0 and no row otherwise.
-    Only small arrays are retained: the big ones are each used once, so
-    caching them would only hold memory.
+    Returns (table, offsets): the rows of sum s are
+    ``table[offsets[s]:offsets[s + 1]]``, in lexicographic order, and the
+    sums ascend; entries have the smallest unsigned dtype that holds
+    ``total``.  Zero parts give one empty row, of sum 0.  Built one part at
+    a time with a fixed number of numpy calls: the rows of sum s with first
+    part v are the rows of sum s - v of the previous table, behind v.
     """
-
-    _CACHE_ROWS = 32_768
-
-    def __init__(self):
-        self._memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def dense(self, total: int, parts: int) -> np.ndarray:
-        key = (total, parts)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if parts == 0:
-            out = np.zeros((int(total == 0), 0), dtype=np.int64)
-        else:
-            blocks = []
-            for v in range(total + 1):
-                sub = self.dense(total - v, parts - 1)
-                head = np.full((sub.shape[0], 1), v, dtype=np.int64)
-                blocks.append(np.hstack([head, sub]))
-            out = np.vstack(blocks)
-        if out.shape[0] <= self._CACHE_ROWS:
-            self._memo[key] = out
-        return out
+    dtype = np.min_scalar_type(total)
+    if parts == 0:
+        return np.zeros((1, 0), dtype), np.minimum(np.arange(total + 2), 1)
+    table, counts = np.arange(total + 1, dtype=dtype)[:, None], np.ones(total + 1, np.int64)
+    for _ in range(parts - 1):
+        # (total + 1)(total + 2) / 2 pairs, no more than the rows they make
+        s, v = np.tril_indices(total + 1)
+        lengths = counts[s - v]
+        # row k of block (s, v) is row starts[s - v] + k of the previous table
+        starts = np.cumsum(counts) - counts
+        rows = np.repeat(starts[s - v] - (np.cumsum(lengths) - lengths), lengths)
+        rows += np.arange(len(rows))
+        table = np.column_stack([np.repeat(v.astype(table.dtype), lengths), table[rows]])
+        counts = np.cumsum(counts)
+    return table, np.concatenate([[0], np.cumsum(counts)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,8 @@ from .common import (
 )
 
 Term = tuple[int, ...]
+
+_log = logging.getLogger(__name__)
 
 
 def _as_fraction(value) -> Fraction:
@@ -359,17 +362,18 @@ class SymmetricDecomposition:
 _CHUNK_ELEMENTS = 1 << 20
 
 #: Largest (prefix rows, tail rows) score matrix of one product in
-#: :meth:`PolyKernel.scan`; more prefix rows are scanned in chunks.
+#: :meth:`PolyKernel.scan` (more prefix rows go in chunks); a block of tail
+#: sums gets 1/64 of it in factor entries, 128 KB that the allocator reuses.
 _SCAN_ELEMENTS = 1 << 20
 
 
-def _term_sums(block: np.ndarray, subsets, coefs) -> np.ndarray:
+def _term_sums(block: np.ndarray, subsets, coefs, dtype=None) -> np.ndarray:
     """sum of c * prod(block[:, i] for i in S) over the (S, c) pairs at every
-    row, one term column at a time, in the block's dtype."""
-    out = np.zeros(block.shape[0], dtype=block.dtype)
+    row, one term column at a time, in ``dtype`` (by default the block's)."""
+    out = np.zeros(block.shape[0], dtype=dtype or block.dtype)
     for subset, c in zip(subsets, coefs):
         if subset:
-            prod = block[:, subset[0]].copy()
+            prod = block[:, subset[0]].astype(out.dtype)
             for i in subset[1:]:
                 prod *= block[:, i]
             out += c * prod
@@ -393,7 +397,8 @@ class PolyKernel:
     or Python integers, so memory stays at a few row-length vectors.
     :meth:`rational_values` scores rational points scaled to integer rows,
     :meth:`exact_values` chosen integer rows, and :meth:`scan` every
-    integer composition, factored into prefix and tail halves.
+    integer composition as products of prefix and tail factors, run in
+    float64 where that is exact, else in int64 or as a float filter.
     """
 
     def __init__(self, poly: MultilinearPoly):
@@ -547,8 +552,10 @@ class PolyKernel:
 
     def fits_int64(self, coefs: Sequence[int], total: int) -> bool:
         """Whether no partial sum of an int64 scan of rows summing to ``total`` overflows."""
-        max_abs = sum(abs(c) for c in coefs) or 1
-        return max_abs * max(total, 1) ** self.degree < 2**62
+        return self._score_bound(coefs, total) < 2**62
+
+    def _score_bound(self, coefs: Sequence[int], total: int) -> int:
+        return (sum(abs(c) for c in coefs) or 1) * max(total, 1) ** self.degree
 
     def batch(self, block: np.ndarray, coefs: Sequence) -> np.ndarray:
         """Values at every row of ``block`` with per-term ``coefs``; the
@@ -585,80 +592,99 @@ class PolyKernel:
         row, the scale L * total**deg).  Raises BudgetExceededError, naming
         the scan ``what``, when there are more compositions than the budget.
 
-        The scan splits a row into a prefix a, its first m // 2 coordinates,
-        and a tail b.  Grouping the terms by their prefix part
-        T = S & [0, m // 2) writes p(a, b) = sum_T a^T q_T(b).  For
-        each tail sum R, M holds the monomials a^T of every prefix
-        composition of total - R, Q the tail polynomials q_T of every tail
-        composition of R, and M @ Q scores all their pairs; its prefix-major
-        flat order is lexicographic order, so its first maximum is the
-        lexicographically first within R.  Across R (and chunks of prefix
-        rows) a row replaces the best when it is greater, or equal and
+        The scan splits a row into a prefix a, its first m // 2 coordinates, and
+        a tail b; each side's compositions of every sum up to ``total`` are one
+        stacked table (:func:`_grid.compositions`).  Grouping the terms by their
+        prefix part T = S & [0, m // 2) writes p(a, b) = sum_T a^T q_T(b).  For
+        each tail sum R, M holds the monomials a^T of every prefix composition
+        of total - R, Q the tail polynomials q_T of every tail composition of R,
+        and M @ Q scores all their pairs; its prefix-major flat order is
+        lexicographic order, so its first maximum is the lexicographically first
+        within R.  M and Q are computed per block of consecutive R (about
+        _SCAN_ELEMENTS / 64 entries) and sliced per R.  Across R (and chunks of
+        prefix rows) a row replaces the best when it is greater, or equal and
         lexicographically smaller.
 
-        Integer-safe inputs are scanned in int64.  Otherwise the same
-        product runs in float on k / total, and the rows within ``slack`` of
-        the running float maximum are rescored with exact Python integers;
-        the running float maximum only rises, so every exact maximizer is
-        kept.  Each term reaches a float score through at most one
-        coefficient rounding, deg coordinate roundings, deg product
-        roundings (M[a, T] times a sum of terms rounds each term alike) and
-        fewer additions than there are terms, in any summation order.  With
+        A partial sum of M @ Q adds some term values, so it is at most
+        sum |c| * total**deg over the scaled coefficients c.  Below 2**53 the product runs
+        in float64 (BLAS), exact on the integer factors; below 2**62, in int64.
+        Otherwise the same product runs in float on k / total, and the rows
+        within ``slack`` of the running float maximum are rescored with exact
+        Python integers; the running float maximum only rises, so every exact
+        maximizer is kept.  Each term reaches a float score through at most one
+        coefficient rounding, deg coordinate roundings, deg product roundings
+        (M[a, T] times a sum of terms rounds each term alike) and fewer
+        additions than there are terms, in any summation order.  With
         coordinates in [0, 1], every float score is therefore within
-        (terms + 2 deg) units of roundoff of sum |c_S| of its exact value,
-        under half the slack.
+        (terms + 2 deg) units of roundoff of sum |c_S| of its exact value, under
+        half the slack.  Each scan logs one DEBUG record.
         """
         count = _grid.composition_count(total, self.m)
         cap = effective_budget(budget)
         if count > cap:
             raise BudgetExceededError(f"{what} needs {count} points, budget is {cap}")
         coefs, scale = self.integer_coefficients(total)
-        in_int64 = self.fits_int64(coefs, total)
+        in_float = not self.fits_int64(coefs, total)
+        dtype = np.float64 if in_float or self._score_bound(coefs, total) < 2**53 else np.int64
         magnitude = sum(abs(c) for c in self.float_coefs)
         slack = 1e-9 + (len(coefs) + 2 * self.degree + 2) * 2.0**-52 * magnitude
         unit = max(total, 1)
         split = self.m // 2
-        table = _grid._DenseTable()
+        prefixes, prefix_at = _grid.compositions(total, split)
+        tails, tail_at = _grid.compositions(total, self.m - split)
+        # factor entries at each tail sum R; a block of consecutive R starts
+        # where their running sum passes a multiple of the block size
+        sizes = (np.diff(tail_at) + np.diff(prefix_at)[::-1]) * len(self._scan_groups)
+        block = max(1, _SCAN_ELEMENTS >> 6)
+        firsts = np.flatnonzero(np.diff(np.cumsum(sizes) // block, prepend=-1)).tolist()
         best_float = -np.inf
         best = best_row = None
-        for tail_sum in range(total + 1):
-            prefixes = table.dense(total - tail_sum, split)
-            tails = table.dense(tail_sum, self.m - split)
-            if in_int64:
-                # every partial sum of M @ Q is a sum of some term values, so
-                # the fits_int64 bound covers it
-                M, Q = self._factors(prefixes, tails, coefs)
-            else:
-                M, Q = self._factors(prefixes / unit, tails / unit, self.float_coefs)
-            step = max(1, _SCAN_ELEMENTS // len(tails))
-            for start in range(0, len(prefixes), step):
-                scores = M[start : start + step] @ Q
-                if in_int64:
-                    i, j = divmod(int(np.argmax(scores)), len(tails))
-                    row = np.concatenate([prefixes[start + i], tails[j]])
-                    value = int(scores[i, j])
-                else:
-                    best_float = max(best_float, float(scores.max()))
-                    heads, rests = np.nonzero(scores >= best_float - slack)
-                    if not len(heads):
-                        continue
-                    rows = np.hstack([prefixes[start + heads], tails[rests]]).astype(object)
-                    values = self.batch(rows, coefs)
-                    i = int(np.argmax(values))
-                    value, row = int(values[i]), rows[i]
-                row = tuple(int(v) for v in row)
-                if best is None or value > best or (value == best and row < best_row):
-                    best, best_row = value, row
+        products = rescored = 0
+        for lo, hi in zip(firsts, firsts[1:] + [total + 1]):
+            # prefix sums total - hi + 1 .. total - lo, tail sums lo .. hi - 1
+            p0, t0 = prefix_at[total - hi + 1], tail_at[lo]
+            a, b = prefixes[p0 : prefix_at[total - lo + 1]], tails[t0 : tail_at[hi]]
+            scaled = (a / unit, b / unit, self.float_coefs) if in_float else (a, b, coefs)
+            M, Q = self._factors(*scaled, dtype)
+            for tail_sum in range(lo, hi):
+                t1, t2 = tail_at[tail_sum] - t0, tail_at[tail_sum + 1] - t0
+                first, stop = prefix_at[total - tail_sum : total - tail_sum + 2] - p0
+                step = max(1, _SCAN_ELEMENTS // (t2 - t1))
+                for start in range(first, stop, step):
+                    scores = M[start : min(start + step, stop)] @ Q[:, t1:t2]
+                    products += 1
+                    if not in_float:
+                        i, j = divmod(int(np.argmax(scores)), t2 - t1)
+                        row = np.concatenate([a[start + i], b[t1 + j]])
+                        value = int(scores[i, j])
+                    else:
+                        best_float = max(best_float, float(scores.max()))
+                        heads, rests = np.nonzero(scores >= best_float - slack)
+                        if not len(heads):
+                            continue
+                        rows = np.hstack([a[start + heads], b[t1 + rests]]).astype(object)
+                        rescored += len(rows)
+                        values = self.batch(rows, coefs)
+                        i = int(np.argmax(values))
+                        value, row = int(values[i]), rows[i]
+                    row = tuple(int(v) for v in row)
+                    if best is None or value > best or (value == best and row < best_row):
+                        best, best_row = value, row
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("scan: total %d, m %d, split %d, stacked rows %d + %d, %d factor blocks, "
+                       "%d products in %s, %d rows rescored", total, self.m, split, len(prefixes),
+                       len(tails), len(firsts), products,
+                       "float filter" if in_float else f"exact {np.dtype(dtype)}", rescored)
         return best, best_row, scale
 
     def _factors(
-        self, prefixes: np.ndarray, tails: np.ndarray, coefs: Sequence
+        self, prefixes: np.ndarray, tails: np.ndarray, coefs: Sequence, dtype
     ) -> tuple[np.ndarray, np.ndarray]:
         """The (prefix rows, groups) monomials M and (groups, tail rows)
-        tail polynomials Q of :meth:`scan`, in the tables' dtype."""
-        M = np.empty((len(prefixes), len(self._scan_groups)), dtype=prefixes.dtype)
-        Q = np.empty((len(self._scan_groups), len(tails)), dtype=tails.dtype)
+        tail polynomials Q of :meth:`scan`, computed in ``dtype``."""
+        M = np.empty((len(prefixes), len(self._scan_groups)), dtype=dtype)
+        Q = np.empty((len(self._scan_groups), len(tails)), dtype=dtype)
         for g, (head, members) in enumerate(self._scan_groups):
-            M[:, g] = _term_sums(prefixes, (head,), (1,))
-            Q[g] = _term_sums(tails, [s for s, _ in members], [coefs[k] for _, k in members])
+            M[:, g] = _term_sums(prefixes, (head,), (1,), dtype)
+            Q[g] = _term_sums(tails, [s for s, _ in members], [coefs[k] for _, k in members], dtype)
         return M, Q

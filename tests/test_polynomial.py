@@ -1,7 +1,9 @@
 """Exact multilinear algebra: construction, evaluation, decomposition, lift."""
 
+import bisect
 import copy
 import itertools
+import logging
 import math
 import pickle
 from fractions import Fraction
@@ -22,7 +24,7 @@ from turan import (
     grid_oracle,
     tight_cycle,
 )
-from turan import _grid, polynomial
+from turan import _grid, lagrangian, polynomial
 from turan.constructions import double_vertex
 from turan.polynomial import PolyKernel
 
@@ -425,7 +427,8 @@ class TestKernelDifferential:
     def test_int64_batch_is_scaled_exact(self, poly, total):
         coefs, scale = poly.kernel.integer_coefficients(total)
         assert poly.kernel.fits_int64(coefs, total)
-        block = _grid._DenseTable().dense(total, poly.m)
+        table, offsets = _grid.compositions(total, poly.m)
+        block = table[offsets[total] :].astype(np.int64)
         values = poly.kernel.batch(block, coefs)
         assert values.dtype == np.int64
         for row, value in zip(block, values):
@@ -491,6 +494,27 @@ class TestScanDifferential:
         assert got == expected
         assert all(type(v) is int for v in (got[0], got[2], *got[1]))
 
+    @pytest.mark.parametrize("elements", [1, 2, 1 << 20])
+    @pytest.mark.parametrize("bits, path", [(53, "exact float64"), (62, "exact int64")])
+    def test_exact_product_bounds(self, caplog, bits, path, elements):
+        # scores are bounded by sum |c| * total**deg = 16 (3A + 133); A puts
+        # that just under 2**bits
+        total = 4
+        A = (2**bits // 16 - 133) // 3 // 64 * 64
+        poly = MultilinearPoly(5, {(0, 1): A + 1, (1, 2): A, (3, 4): A, (2,): -5, (): 7})
+        kernel = PolyKernel(poly)
+        coefs, _ = kernel.integer_coefficients(total)
+        assert 2**bits - 2**(bits - 8) < kernel._score_bound(coefs, total) < 2**bits
+        if bits == 62:
+            # float64 would tie the maximum (2, 2, 0, 0, 0) with (0, 0, 0, 2, 2)
+            assert float(4 * A + 116) == float(4 * A + 112)
+        with caplog.at_level(logging.DEBUG, logger="turan.polynomial"):
+            with mock.patch.object(polynomial, "_SCAN_ELEMENTS", elements):
+                got = kernel.scan(total, None, "test scan")
+        assert got == brute_force_scan(poly, total)
+        assert got[1] == (2, 2, 0, 0, 0)
+        assert f" products in {path}, " in caplog.records[-1].getMessage()
+
     @given(st.integers(1, 5), st.integers(0, 6), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_ties_everywhere(self, m, total, in_int64):
@@ -500,6 +524,87 @@ class TestScanDifferential:
             with mock.patch.object(PolyKernel, "fits_int64", return_value=in_int64):
                 got = PolyKernel(poly).scan(total, None, "test scan")
         assert got == (3, (0,) * (m - 1) + (total,), 1)
+
+
+class TestCompositions:
+    """_grid.compositions against itertools.product, for every shape up to (10, 5)."""
+
+    @pytest.mark.parametrize("parts", range(6))
+    @pytest.mark.parametrize("total", range(11))
+    def test_matches_product(self, total, parts):
+        table, offsets = _grid.compositions(total, parts)
+        # product is lexicographic; a stable sort by sum keeps that within each sum
+        rows = [r for r in itertools.product(range(total + 1), repeat=parts) if sum(r) <= total]
+        rows.sort(key=sum)
+        assert table.shape == (len(rows), parts)
+        assert [tuple(int(v) for v in row) for row in table] == rows
+        sums = [sum(r) for r in rows]
+        assert offsets.tolist() == [bisect.bisect_left(sums, s) for s in range(total + 2)]
+
+    def test_empty_cases(self):
+        # zero parts: one empty row of sum 0, and no row for any other sum
+        table, offsets = _grid.compositions(4, 0)
+        assert table.shape == (1, 0) and offsets.tolist() == [0, 1, 1, 1, 1, 1]
+        table, offsets = _grid.compositions(0, 3)
+        assert table.tolist() == [[0, 0, 0]] and offsets.tolist() == [0, 1]
+
+    def test_wide_totals_fit(self):
+        table, offsets = _grid.compositions(300, 2)
+        assert int(table.max()) == 300 and len(table) == offsets[-1] == 301 * 302 // 2
+        assert table[offsets[300] :].tolist() == [[v, 300 - v] for v in range(301)]
+        # one part is the column 0..total; a pair (s, v) per part would need 5e11 here
+        table, offsets = _grid.compositions(10**6, 1)
+        np.testing.assert_array_equal(table[:, 0], np.arange(10**6 + 1))
+        np.testing.assert_array_equal(offsets, np.arange(10**6 + 2))
+
+
+class TestScanStructure:
+    """How PolyKernel.scan does its work: counted through mocks and its log,
+    never timed."""
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_tables_once_factors_per_block(self, m):
+        poly = MultilinearPoly.from_hypergraph(Hypergraph.complete(3, m))
+        total = lagrangian._auto_resolution(m)
+        with (
+            mock.patch.object(_grid, "compositions", wraps=_grid.compositions) as tables,
+            mock.patch.object(
+                PolyKernel, "_factors", autospec=True, side_effect=PolyKernel._factors
+            ) as factors,
+        ):
+            result = grid_oracle(poly, total)
+        assert result == grid_oracle(poly, total)
+        split = m // 2
+        assert sorted(c.args for c in tables.call_args_list) == sorted(
+            [(total, split), (total, m - split)]
+        )
+        # factors per block of tail sums (one block up to m = 4), not per tail sum
+        assert factors.call_count <= (total + 1) // 2
+        assert m > 4 or factors.call_count == 1
+
+    @pytest.mark.parametrize(
+        "poly, total, path, rescored",
+        [
+            (P_K4, 12, "exact float64", 0),
+            (MultilinearPoly(3, {(0, 1): 2**52, (2,): 1}), 4, "exact int64", 0),
+            (MultilinearPoly(3, {(0, 1): 2**70, (2,): 1}), 4, "float filter", None),
+        ],
+        ids=["float64", "int64", "float-filter"],
+    )
+    def test_debug_record(self, caplog, poly, total, path, rescored):
+        with caplog.at_level(logging.DEBUG, logger="turan.polynomial"):
+            PolyKernel(poly).scan(total, None, "test scan")
+        (record,) = [r for r in caplog.records if r.name == "turan.polynomial"]
+        message = record.getMessage()
+        assert message.startswith(f"scan: total {total}, m {poly.m}, split {poly.m // 2}, ")
+        assert f" products in {path}, " in message
+        count = int(message.rsplit(", ", 1)[1].split()[0])
+        assert count == rescored if rescored is not None else count >= 1
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="turan.polynomial"):
+            P_K4.kernel.scan(6, None, "test scan")
+        assert not [r for r in caplog.records if r.name == "turan.polynomial"]
 
 
 class TestMultilinearity:
