@@ -111,23 +111,14 @@ def blowup(spec: BlowupSpec, budget: int | None = None) -> Hypergraph:
 def _blowup_shadow_count(spec: BlowupSpec) -> int:
     """Pairs in the shadow of a 3-graph blowup, again without materializing.
 
-    A cross pair (part i, part j) appears iff some base edge {i, j, l} has a
-    nonempty third part; pairs inside one part never appear.
+    A cross pair (part i, part j) appears iff some base edge holding i and j
+    has all three parts nonempty; pairs inside one part never appear.
     """
     if spec.base.r != 3:
         raise UnsupportedUniformityError("shadow counting implemented for 3-graphs")
     sizes = spec.part_sizes
-    total = 0
-    for i, j in itertools.combinations(range(spec.base.n), 2):
-        if sizes[i] == 0 or sizes[j] == 0:
-            continue
-        covered = any(
-            i in e and j in e and sizes[next(iter(set(e) - {i, j}))] > 0
-            for e in spec.base.edges
-        )
-        if covered:
-            total += sizes[i] * sizes[j]
-    return total
+    live = [e for e in spec.base.edges if all(sizes[v] for v in e)]
+    return sum(sizes[i] * sizes[j] for i, j in Hypergraph(3, spec.base.n, live).shadow().edges)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +294,10 @@ def double_vertex(graph: Hypergraph, w: int) -> Hypergraph:
 # ---------------------------------------------------------------------------
 # extremal integer blowups
 
+#: Ascents, from the rounded continuous maximizer and then perturbed
+#: roundings of it, that ``local`` mode runs.
+_LOCAL_RESTARTS = 20
+
 
 def extremal_blowup_search(
     graph: Hypergraph,
@@ -310,18 +305,18 @@ def extremal_blowup_search(
     mode: str = "exhaustive",
     budget: int | None = None,
     seed: int = 0,
-    restarts: int = 20,
 ) -> tuple[tuple[int, ...], int]:
     """Integer part sizes summing to n that maximize the blowup edge count.
 
     ``exhaustive`` scans every composition (budgeted) and returns the
     lexicographically smallest maximizing size vector.  ``local`` runs a
     steepest single-unit-transfer ascent from the rounded continuous
-    maximizer, restarted from perturbed roundings, and returns the
-    lexicographically smallest of its restarts' local optima with the
-    largest count.  That is not always the lex-least of all maximizers: for
-    ``gamma(2)`` at n = 60 both modes count 13,500 edges, but ``local``
-    returns (15, 15, 15, 0, 0, 15) and ``exhaustive`` (15, 15, 0, 15, 15, 0).
+    maximizer, restarted from perturbed roundings (``_LOCAL_RESTARTS``
+    ascents in all), and returns the lexicographically smallest of their
+    local optima with the largest count.  That is not always the lex-least
+    of all maximizers: for ``gamma(2)`` at n = 60 both modes count 13,500
+    edges, but ``local`` returns (15, 15, 15, 0, 0, 15) and ``exhaustive``
+    (15, 15, 0, 15, 15, 0).
     """
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
@@ -331,7 +326,7 @@ def extremal_blowup_search(
     if mode == "exhaustive":
         return _exhaustive_search(graph, n, budget)
     if mode == "local":
-        return _local_search(graph, n, seed, restarts)
+        return _local_search(graph, n, seed)
     raise InvalidArgumentError(f"unknown mode {mode!r}")
 
 
@@ -342,7 +337,7 @@ def _exhaustive_search(graph, n, budget):
     return row, best
 
 
-def _local_search(graph, n, seed, restarts):
+def _local_search(graph, n, seed):
     poly = MultilinearPoly.from_hypergraph(graph)
     kernel = poly.kernel
     m = graph.n
@@ -386,7 +381,7 @@ def _local_search(graph, n, seed, restarts):
         return tuple(int(v) for v in current), int(value)
 
     best_sizes, best_value = ascend(round_to_composition(target))
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(_LOCAL_RESTARTS - 1):
         noise = rng.normal(0.0, 0.75, size=m)
         sizes, value = ascend(round_to_composition(np.clip(target + noise, 0, None)))
         if value > best_value or (value == best_value and sizes < best_sizes):

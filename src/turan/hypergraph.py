@@ -4,7 +4,8 @@ Vertices are the 0-based integers ``0 .. n-1`` everywhere in this package
 (the combinatorics literature usually writes ``1 .. n``; shift by one when
 comparing against hand calculations).  Edges are strictly sorted r-tuples
 and the edge set is kept in lexicographic order, so equal hypergraphs
-compare equal structurally.
+compare equal structurally.  ``to_text`` writes that canonical form and
+``Hypergraph.from_text``, the one reader, reads it back in a single pass.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .common import (
     Frozen,
@@ -25,9 +26,9 @@ from .common import (
 
 Edge = tuple[int, ...]
 
-#: Lines per batch in the whole-text pass of ``Hypergraph.from_text``.  Kept
-#: small so a batch's row lists are freed before the cyclic garbage collector
-#: promotes them to its oldest generation and then rescans the whole heap.
+#: Lines per batch of ``Hypergraph.from_text``.  Kept small so a batch's
+#: row lists are freed before the cyclic garbage collector promotes them to
+#: its oldest generation and then rescans the whole heap.
 _TEXT_CHUNK = 1 << 8
 
 
@@ -274,86 +275,62 @@ class Hypergraph(Frozen):
         blank lines are skipped, the vertices of a row may come in any
         order, and repeated edges collapse to one.  Malformed input raises
         ``ParseError`` naming the first bad line.
+
+        One pass: after the header, lines are read ``_TEXT_CHUNK`` at a
+        time.  A batch whose rows all hold r strictly increasing integers
+        in 0..n-1 is taken whole with list builtins; any other batch is
+        read row by row through ``_canonical_edge``, which sorts a row or
+        names its fault.
         """
         lines = text.splitlines()
-        batch = _parse_canonical_rows(lines)
-        if batch is None:
-            r, n, edges = _parse_lines(lines)
+        for start, raw in enumerate(lines, start=1):
+            fields = raw.split()
+            if fields and fields[0][0] != "#":
+                break
         else:
-            r, n, flat = batch
-            # free the lines before the edge tuples exist, and the flat list
-            # before they are sorted
-            del batch, lines
-            edges = list(zip(*[iter(flat)] * r))
-            del flat
-        return cls._from_canonical(r, n, edges)
-
-
-def _parse_canonical_rows(lines: list[str]) -> Optional[tuple[int, int, list[int]]]:
-    """Header and flat vertex list of a text in canonical form, or None.
-
-    Canonical means edge rows that are all strictly increasing and in
-    range.  Rows are checked a chunk at a time with whole-list builtins.
-    None sends the text to ``_parse_lines``, the one place that raises
-    ``ParseError`` (the header is checked by it here too) and sorts rows,
-    so both paths accept the same texts.
-    """
-    for start, line in enumerate(lines, start=1):
-        fields = line.split()
-        if fields and fields[0][0] != "#":
-            break
-    else:
-        return None
-    r, n, _ = _parse_lines(lines[:start])  # raises on a bad header
-    flat: list[int] = []
-    for lo in range(start, len(lines), _TEXT_CHUNK):
-        rows = [f for f in map(str.split, lines[lo : lo + _TEXT_CHUNK]) if f and f[0][0] != "#"]
-        if not rows:
-            continue
-        if set(map(len, rows)) != {r}:
-            return None
+            raise ParseError("empty input: missing 'r n' header", line=1)
         try:
-            ints = list(map(int, itertools.chain.from_iterable(rows)))
+            header = [int(f) for f in fields]
         except ValueError:
-            return None
-        for k in range(r - 1):
-            if not all(map(operator.lt, ints[k::r], ints[k + 1 :: r])):
-                return None
-        if min(ints[::r]) < 0 or max(ints[r - 1 :: r]) >= n:
-            return None
-        flat += ints
-    return r, n, flat
-
-
-def _parse_lines(lines: list[str]) -> tuple[int, int, list[Edge]]:
-    """Header and canonical edges, line by line; raises ``ParseError`` on bad input."""
-    header: tuple[int, int] | None = None
-    edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
-        if header is None:
-            if len(values) != 2:
-                raise ParseError("header must be 'r n'", line=lineno)
-            header = (values[0], values[1])
-            if header[0] < 1 or header[1] < 0:
-                raise ParseError(
-                    f"header 'r n' needs r >= 1 and n >= 0, got {line!r}", line=lineno
+            raise ParseError(f"non-integer token in {raw.strip()!r}", line=start) from None
+        if len(header) != 2:
+            raise ParseError("header must be 'r n'", line=start)
+        r, n = header
+        if r < 1 or n < 0:
+            raise ParseError(
+                f"header 'r n' needs r >= 1 and n >= 0, got {raw.strip()!r}", line=start
+            )
+        flat: list[int] = []
+        for lo in range(start, len(lines), _TEXT_CHUNK):
+            batch = lines[lo : lo + _TEXT_CHUNK]
+            rows = [f for f in map(str.split, batch) if f and f[0][0] != "#"]
+            if rows and set(map(len, rows)) == {r}:
+                try:
+                    ints = list(map(int, itertools.chain.from_iterable(rows)))
+                except ValueError:
+                    ints = []
+                increasing = all(
+                    all(map(operator.lt, ints[k::r], ints[k + 1 :: r])) for k in range(r - 1)
                 )
-            continue
-        try:
-            edges.append(_canonical_edge(values, *header))
-        except InvalidArgumentError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    if header is None:
-        raise ParseError("empty input: missing 'r n' header", line=1)
-    return header[0], header[1], edges
+                if ints and increasing and min(ints[::r]) >= 0 and max(ints[r - 1 :: r]) < n:
+                    flat += ints
+                    continue
+            for lineno, raw in enumerate(batch, start=lo + 1):
+                fields = raw.split()
+                if not fields or fields[0][0] == "#":
+                    continue
+                try:
+                    flat += _canonical_edge([int(f) for f in fields], r, n)
+                except InvalidArgumentError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+                except ValueError:
+                    raise ParseError(f"non-integer token in {raw.strip()!r}", line=lineno) from None
+        # free the lines before the edge tuples exist, and the flat list
+        # before they are sorted
+        del lines
+        edges = list(zip(*[iter(flat)] * r))
+        del flat
+        return cls._from_canonical(r, n, edges)
 
 
 def _has_clique(graph: Hypergraph, size: int) -> bool:

@@ -8,7 +8,6 @@ float evaluation as a derived mode.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -387,12 +386,13 @@ class PolyKernel:
 
     Two arithmetic paths compute every value.  Float: :meth:`values` sums
     one gathered product per degree group, ascending, at every row of an
-    (S, m) array, a chunk of rows at a time; :meth:`gradients` takes, for
-    every (term, position) pair in the same degree-then-position order, the
-    product of the term's other variables and adds them in that order with
-    one ``bincount``, and :meth:`hessians` does the same for every (term,
-    position pair).  A single point is a one-row batch, and a row's result
-    does not depend on the batch around it.  Exact:
+    (S, m) array, a chunk of rows at a time.  :meth:`gradients` and
+    :meth:`hessians` read one derivative table per order (1 or 2), built on
+    first use and kept: for every (term, subset of that many positions), in
+    degree-then-``combinations`` order, the product of the term's other
+    variables, added in that order with one ``bincount``.  A single point
+    is a one-row batch, and a row's result does not depend on the batch
+    around it.  Exact:
     :meth:`batch` scores integer rows one term column at a time, in int64
     or Python integers, so memory stays at a few row-length vectors.
     :meth:`rational_values` scores rational points scaled to integer rows,
@@ -415,17 +415,10 @@ class PolyKernel:
             if subset:
                 by_degree.setdefault(len(subset), []).append((subset, coef))
         self.groups = []
-        self.partials = []
-        targets = []
-        for d, items in sorted(by_degree.items()):
+        for _, items in sorted(by_degree.items()):
             idx = np.array([s for s, _ in items], dtype=np.intp)
-            coefs = np.array([c for _, c in items])
-            self.groups.append((idx, coefs))
-            others = [np.delete(idx, pos, axis=1) for pos in range(d)]
-            self.partials.append((np.vstack(others), np.tile(coefs, d)))
-            targets.extend(idx[:, pos] for pos in range(d))
-        self.targets = np.concatenate(targets) if targets else None
-        self._row_width = max(1, sum(idx.size * idx.shape[1] for idx, _ in self.groups))
+            self.groups.append((idx, np.array([c for _, c in items])))
+        self._derivative_tables: dict[int, tuple] = {}
         # scan's factoring: (prefix part T, [(tail part shifted to 0, term)]) per T
         split = self.m // 2
         by_head: dict[Term, list] = {}
@@ -449,22 +442,7 @@ class PolyKernel:
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         """Float gradients at every row of an (S, m) array, as an (S, m) array."""
-        out = np.zeros(X.shape)
-        if self.targets is None:
-            return out
-        for rows in self._chunks(X.shape[0]):
-            block = X[rows]
-            n = block.shape[0]
-            terms = np.concatenate(
-                [coefs * np.prod(block[:, others], axis=2) for others, coefs in self.partials],
-                axis=1,
-            )
-            # row k's pairs land in bins k*m .. k*m + m - 1, added in pair order
-            bins = (np.arange(n)[:, None] * self.m + self.targets).ravel()
-            out[rows] = np.bincount(
-                bins, weights=terms.ravel(), minlength=n * self.m
-            ).reshape(n, self.m)
-        return out
+        return self._derivatives(X, 1)
 
     def homogenizing_shift(self, X: np.ndarray) -> np.ndarray:
         """Per-row K with grad q = grad p + K at every simplex row of X.
@@ -480,50 +458,58 @@ class PolyKernel:
     def hessians(self, X: np.ndarray) -> np.ndarray:
         """Float Hessians at every row of an (S, m) array, as an (S, m, m) array.
 
-        Entry (i, j), i < j, adds the product of the other variables of every
-        term holding both, in the fixed order of :attr:`_pairs`, with one
-        ``bincount``; (j, i) mirrors it, and the diagonal of a multilinear
-        polynomial's Hessian is 0.
+        Entry (i, j), i < j, comes from :meth:`_derivatives`; (j, i) mirrors
+        it, and the diagonal of a multilinear polynomial's Hessian is 0.
         """
-        groups, targets, width = self._pairs
-        square = self.m * self.m
-        out = np.zeros((X.shape[0], square))
-        if targets is not None:
-            for rows in self._chunks(X.shape[0], width):
-                block = X[rows]
-                n = block.shape[0]
-                terms = np.concatenate(
-                    [coefs * np.prod(block[:, others], axis=2) for others, coefs in groups],
-                    axis=1,
-                )
-                bins = (np.arange(n)[:, None] * square + targets).ravel()
-                out[rows] = np.bincount(
-                    bins, weights=terms.ravel(), minlength=n * square
-                ).reshape(n, square)
-        upper = out.reshape(X.shape[0], self.m, self.m)
+        upper = self._derivatives(X, 2).reshape(X.shape[0], self.m, self.m)
         return upper + upper.transpose(0, 2, 1)
 
-    @functools.cached_property
-    def _pairs(self):
-        """For :meth:`hessians`, built on first use: per degree group, the
-        other variables of every (term, position pair a < b) and their
-        coefficients; the flat targets i * m + j of those pairs; and the
-        gathered row width."""
-        groups, targets = [], []
-        for idx, coefs in self.groups:
-            pairs = list(itertools.combinations(range(idx.shape[1]), 2))
-            if pairs:
-                others = [np.delete(idx, pair, axis=1) for pair in pairs]
-                groups.append((np.vstack(others), np.tile(coefs, len(pairs))))
-                targets.extend(idx[:, a] * self.m + idx[:, b] for a, b in pairs)
-        if not targets:
-            return groups, None, 1
-        width = sum(others.shape[0] * (others.shape[1] + 1) for others, _ in groups)
-        return groups, np.concatenate(targets), width
+    def _derivatives(self, X: np.ndarray, order: int) -> np.ndarray:
+        """Partial derivatives by every ``order`` variables i1 < i2 < ... at
+        every row of X, as an (S, m**order) array indexed i1 m**(order-1) +
+        i2 m**(order-2) + ...: each adds the product of the other variables
+        of every term holding them, in table order, with one ``bincount``."""
+        groups, targets, width = self._derivative_table(order)
+        size = self.m**order
+        out = np.zeros((X.shape[0], size))
+        if targets is None:
+            return out
+        for rows in self._chunks(X.shape[0], width):
+            block = X[rows]
+            n = block.shape[0]
+            terms = np.concatenate(
+                [coefs * np.prod(block[:, others], axis=2) for others, coefs in groups], axis=1
+            )
+            # row k's targets land in bins k*size .. k*size + size - 1, added in table order
+            bins = (np.arange(n)[:, None] * size + targets).ravel()
+            out[rows] = np.bincount(bins, terms.ravel(), n * size).reshape(n, size)
+        return out
+
+    def _derivative_table(self, order: int):
+        """For :meth:`_derivatives`, built on first use and kept: per degree
+        group, the other variables of every (term, ``order``-subset of its
+        positions, in ``combinations`` order) and their coefficients; the
+        flat targets of those subsets; and the gathered row width."""
+        if order not in self._derivative_tables:
+            groups, targets = [], []
+            for idx, coefs in self.groups:
+                subsets = list(itertools.combinations(range(idx.shape[1]), order))
+                if subsets:
+                    others = [np.delete(idx, subset, axis=1) for subset in subsets]
+                    groups.append((np.vstack(others), np.tile(coefs, len(subsets))))
+                    targets.extend(
+                        np.ravel_multi_index(idx[:, subset].T, (self.m,) * order)
+                        for subset in subsets
+                    )
+            width = sum(others.shape[0] * (others.shape[1] + 1) for others, _ in groups)
+            flat = np.concatenate(targets) if targets else None
+            self._derivative_tables[order] = groups, flat, width
+        return self._derivative_tables[order]
 
     def _sums(self, X: np.ndarray, groups, constant: float) -> np.ndarray:
         out = np.full(X.shape[0], constant)
-        for rows in self._chunks(X.shape[0]):
+        width = sum(idx.size for idx, _ in groups)
+        for rows in self._chunks(X.shape[0], width):
             block = X[rows]
             for idx, coefs in groups:
                 # a row-wise sum adds each row's terms in one fixed order,
@@ -531,8 +517,8 @@ class PolyKernel:
                 out[rows] += (np.prod(block[:, idx], axis=2) * coefs).sum(axis=1)
         return out
 
-    def _chunks(self, count: int, width: int | None = None):
-        step = max(1, _CHUNK_ELEMENTS // (width or self._row_width))
+    def _chunks(self, count: int, width: int):
+        step = max(1, _CHUNK_ELEMENTS // max(width, 1))
         return (slice(start, start + step) for start in range(0, count, step))
 
     def integer_coefficients(self, total: int) -> tuple[list[int], int]:

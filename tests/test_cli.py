@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from turan import Hypergraph, MultilinearPoly, gamma, maximize, read_hypergraph
 from turan.cli import main
 
@@ -17,6 +19,89 @@ def write_graph(tmp_path, name, graph):
     path = tmp_path / name
     path.write_text(graph.to_text())
     return str(path)
+
+
+# `turan lagrangian --graph <g> --stats` bytes; the float digits are the ascent's bits
+GOLDEN_LAGRANGIAN = {
+    "K_4^3": (Hypergraph.complete(3, 4), """\
+{
+  "value": 0.06250000000000001,
+  "exact": "1/16",
+  "maximizer": [
+    0.25,
+    0.25,
+    0.25,
+    0.25
+  ],
+  "kkt_residual": 0.0,
+  "grid_lower_bound": 0.0625,
+  "stats": {
+    "grid_resolution": 48,
+    "grid_points": 20825,
+    "iterations": 31,
+    "stop_reason": "tol",
+    "starts_converged": 50,
+    "phase": "ascent",
+    "snap_denominator": 4,
+    "twins_merged": 0
+  }
+}
+"""),
+    "C_5^3": (
+        Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)]),
+        """\
+{
+  "value": 0.04000000000000001,
+  "exact": "1/25",
+  "maximizer": [
+    0.2,
+    0.2,
+    0.2,
+    0.2,
+    0.2
+  ],
+  "kkt_residual": 1.3877787807814457e-17,
+  "grid_lower_bound": 0.03994751421490013,
+  "stats": {
+    "grid_resolution": 38,
+    "grid_points": 111930,
+    "iterations": 50,
+    "stop_reason": "plateau",
+    "starts_converged": 1,
+    "phase": "ascent",
+    "snap_denominator": 5,
+    "twins_merged": 0
+  }
+}
+""",
+    ),
+    "gamma(2)": (gamma(2), """\
+{
+  "value": 0.0625,
+  "exact": "1/16",
+  "maximizer": [
+    0.25,
+    0.25,
+    0.25,
+    0.0,
+    0.0,
+    0.25
+  ],
+  "kkt_residual": 0.0,
+  "grid_lower_bound": 0.0625,
+  "stats": {
+    "grid_resolution": 24,
+    "grid_points": 118755,
+    "iterations": 64,
+    "stop_reason": "plateau",
+    "starts_converged": 8,
+    "phase": "grid",
+    "snap_denominator": 4,
+    "twins_merged": 0
+  }
+}
+"""),
+}
 
 
 class TestGraphCommands:
@@ -77,6 +162,12 @@ class TestLagrangianCommand:
         expected = maximize(MultilinearPoly.from_hypergraph(gamma(2)), starts=20).stats
         assert stats == dataclasses.asdict(expected)
         assert stats["grid_points"] > 0 and stats["phase"] in ("ascent", "grid", "snap", "polish")
+
+    @pytest.mark.parametrize("name", GOLDEN_LAGRANGIAN)
+    def test_golden_bytes(self, name, tmp_path, capsys):
+        graph, expected = GOLDEN_LAGRANGIAN[name]
+        path = write_graph(tmp_path, "g.hg", graph)
+        assert run(capsys, "lagrangian", "--graph", path, "--stats") == (0, expected, "")
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_graph(tmp_path, "g.hg", gamma(2))

@@ -33,6 +33,7 @@ from turan import (
     tight_cycle,
     totient_divisor_sum,
 )
+from turan.constructions import _blowup_shadow_count
 from turan.polynomial import PolyKernel
 
 K4 = Hypergraph.complete(3, 4)
@@ -95,6 +96,15 @@ class TestBlowup:
             base = Hypergraph(r, n, edges)
             spec = BlowupSpec(base, tuple(int(rng.integers(0, 4)) for _ in range(n)))
             assert len(blowup(spec).edges) == blowup_edge_count(spec)
+
+    def test_shadow_count_matches_materialization_randomized(self):
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            n = int(rng.integers(3, 7))
+            universe = list(itertools.combinations(range(n), 3))
+            base = Hypergraph(3, n, [e for e in universe if rng.random() < 0.4])
+            spec = BlowupSpec(base, tuple(int(rng.integers(0, 4)) for _ in range(n)))
+            assert _blowup_shadow_count(spec) == len(blowup(spec).shadow().edges)
 
     def test_matches_checked_constructor(self):
         rng = random.Random(7)

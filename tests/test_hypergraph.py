@@ -300,12 +300,42 @@ def parse_outcome(parse, text: str):
 
 
 def parse_per_line(text: str) -> Hypergraph:
-    """The per-line loop alone, with its edges stored through the checked constructor."""
-    r, n, edges = hypergraph._parse_lines(text.splitlines())
-    return Hypergraph(r, n, edges)
+    """Reference reader: every line on its own, edges stored through the checked constructor."""
+    header = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values = [int(f) for f in line.split()]
+        except ValueError:
+            raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
+        if header is None:
+            if len(values) != 2:
+                raise ParseError("header must be 'r n'", line=lineno)
+            header = tuple(values)
+            if header[0] < 1 or header[1] < 0:
+                raise ParseError(
+                    f"header 'r n' needs r >= 1 and n >= 0, got {line!r}", line=lineno
+                )
+            continue
+        try:
+            edges.append(Hypergraph(*header, [values]).edges[0])
+        except InvalidArgumentError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    if header is None:
+        raise ParseError("empty input: missing 'r n' header", line=1)
+    return Hypergraph(*header, edges)
 
 
-# texts the whole-batch pass must take: valid header, every row strictly increasing
+# 600 strictly increasing rows; row j (1-based) is on line j + 1
+ROWS = [f"{i} {i + 1} {i + 2}" for i in range(600)]
+LONG_TEXT = "3 602\n" + "\n".join(ROWS) + "\n"
+LONG_REVERSED = LONG_TEXT.replace("\n399 400 401\n", "\n401 400 399\n")
+LONG_MALFORMED = LONG_TEXT.replace("\n399 400 401\n", "\n399 400\n")
+
+# texts every batch takes whole: valid header, every row strictly increasing
 CANONICAL_TEXTS = [
     "3 4\n",
     "1 0\n",
@@ -324,6 +354,7 @@ CANONICAL_TEXTS = [
     "2 5\n3 4\n0 1\n1 4\n",
     "4 6\n0 1 2 3\n2 3 4 5\n",
     "3 0003\n00 1 +2\n",
+    pytest.param(LONG_TEXT, id="600 rows"),
 ]
 
 MALFORMED_TEXTS = [
@@ -353,15 +384,17 @@ MALFORMED_TEXTS = [
     "3 4\n0 1 2\n3 4\n",
     "3 4\n0 1 2\n\n0 1 2 3\n1.0 2 3\n",
     "3 300\n0 150 300\n",
+    pytest.param(LONG_MALFORMED, id="600 rows, row 400 short"),
 ]
 
-# valid texts the batch pass hands to the per-line loop
+# valid texts with a row out of order, which its batch reads row by row
 SORTED_BY_LOOP_TEXTS = [
     "3 4\n2 1 0\n",
     "3 4\n0 1 2\n3 1 0\n2 1 0\n",
     "3 4\n0 2 1\n0 1 2\n",
     "2 300\n299 0\n257 256\n",
     "4 6\n5 4 3 2\n0 1 2 3\n",
+    pytest.param(LONG_REVERSED, id="600 rows, row 400 reversed"),
 ]
 
 CORPUS = CANONICAL_TEXTS + MALFORMED_TEXTS + SORTED_BY_LOOP_TEXTS
@@ -377,19 +410,25 @@ class TestTextPaths:
 
     @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
     @pytest.mark.parametrize("text", CANONICAL_TEXTS)
-    def test_batch_pass_takes_canonical_texts(self, text, chunk):
+    def test_canonical_batches_skip_the_row_loop(self, text, chunk):
         with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
-            r, n, flat = hypergraph._parse_canonical_rows(text.splitlines())
-        expected = parse_per_line(text)
-        assert (r, n) == (expected.r, expected.n)
-        assert sorted(set(zip(*[iter(flat)] * r))) == list(expected.edges)
+            with mock.patch.object(
+                hypergraph, "_canonical_edge", wraps=hypergraph._canonical_edge
+            ) as spy:
+                Hypergraph.from_text(text)
+        assert spy.call_count == 0
 
-    @pytest.mark.parametrize("text", MALFORMED_TEXTS + SORTED_BY_LOOP_TEXTS)
-    def test_batch_pass_declines_the_rest(self, text):
-        # it either hands the text to the loop or lets the loop's header error through
-        with mock.patch.object(hypergraph, "_TEXT_CHUNK", 1):
-            got = parse_outcome(lambda t: hypergraph._parse_canonical_rows(t.splitlines()), text)
-        assert got is None or got == parse_outcome(parse_per_line, text)
+    @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
+    def test_only_the_faulty_batch_is_read_row_by_row(self, chunk):
+        with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+            with mock.patch.object(
+                hypergraph, "_canonical_edge", wraps=hypergraph._canonical_edge
+            ) as spy:
+                got = Hypergraph.from_text(LONG_REVERSED)
+        assert got == Hypergraph.from_text(LONG_TEXT)
+        # batches of `chunk` lines start right after the header, so row j is in batch (j-1)//chunk
+        same_batch = [j for j in range(1, 601) if (j - 1) // chunk == (400 - 1) // chunk]
+        assert spy.call_count == len(same_batch)
 
     @pytest.mark.parametrize(
         "text, line, message",

@@ -396,9 +396,10 @@ class TestKernelDifferential:
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1.0, 1.0, size=(rows, poly.m))
         kernel = poly.kernel
-        # a few rows per chunk, so most batches span several chunks
+        # a few rows per gradient chunk, so most batches span several chunks
+        width = kernel._derivative_table(1)[2]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polynomial, "_CHUNK_ELEMENTS", 3 * kernel._row_width)
+            patch.setattr(polynomial, "_CHUNK_ELEMENTS", 3 * max(width, 1))
             values, grads = kernel.values(X), kernel.gradients(X)
             shifts = kernel.homogenizing_shift(X)
             hessians = kernel.hessians(X)
