@@ -329,6 +329,33 @@ def parse_per_line(text: str) -> Hypergraph:
     return Hypergraph(*header, edges)
 
 
+def declined_rows(text: str) -> list[list[int]]:
+    """The integer rows a one-line batch cannot take whole, up to the first bad row.
+
+    Empty when the header is bad: no row is read then.
+    """
+    rows = [line.split() for line in text.splitlines()]
+    rows = [f for f in rows if f and not f[0].startswith("#")]
+    try:
+        r, n = (int(f) for f in rows[0])
+    except (IndexError, ValueError):
+        return []
+    if r < 1 or n < 0:
+        return []
+    declined = []
+    for fields in rows[1:]:
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            break
+        increasing = all(a < b for a, b in zip(values, values[1:]))
+        if len(values) == r and increasing and values[0] >= 0 and values[-1] < n:
+            continue
+        declined.append(values)
+        if len(values) != r or len(set(values)) != r or min(values) < 0 or max(values) >= n:
+            break
+    return declined
+
 # 600 strictly increasing rows; row j (1-based) is on line j + 1
 ROWS = [f"{i} {i + 1} {i + 2}" for i in range(600)]
 LONG_TEXT = "3 602\n" + "\n".join(ROWS) + "\n"
@@ -410,13 +437,26 @@ class TestTextPaths:
 
     @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
     @pytest.mark.parametrize("text", CANONICAL_TEXTS)
-    def test_canonical_batches_skip_the_row_loop(self, text, chunk):
+    def test_batch_pass_takes_canonical_texts(self, text, chunk):
         with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
             with mock.patch.object(
                 hypergraph, "_canonical_edge", wraps=hypergraph._canonical_edge
             ) as spy:
-                Hypergraph.from_text(text)
+                got = Hypergraph.from_text(text)
         assert spy.call_count == 0
+        assert got == parse_per_line(text)
+
+    @pytest.mark.parametrize("text", MALFORMED_TEXTS + SORTED_BY_LOOP_TEXTS)
+    def test_batch_pass_declines_the_rest(self, text):
+        # one line per batch: exactly the integer rows that are not already
+        # canonical, up to the first fault, reach the row loop
+        with mock.patch.object(hypergraph, "_TEXT_CHUNK", 1):
+            with mock.patch.object(
+                hypergraph, "_canonical_edge", wraps=hypergraph._canonical_edge
+            ) as spy:
+                got = parse_outcome(Hypergraph.from_text, text)
+        assert got == parse_outcome(parse_per_line, text)
+        assert [list(call.args[0]) for call in spy.call_args_list] == declined_rows(text)
 
     @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
     def test_only_the_faulty_batch_is_read_row_by_row(self, chunk):
