@@ -5,17 +5,22 @@ Vertices are the 0-based integers ``0 .. n-1`` everywhere in this package
 comparing against hand calculations).  Edges are strictly sorted r-tuples
 and the edge set is kept in lexicographic order, so equal hypergraphs
 compare equal structurally.  ``to_text`` writes that canonical form and
-``Hypergraph.from_text``, the one reader, reads it back in a single pass.
+``Hypergraph.from_text``, the one reader, reads it back in a single pass:
+one numpy pass over the bytes of each block of lines, and Python only for
+the batches of lines that pass cannot take.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import operator
 from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .common import (
     Frozen,
@@ -30,6 +35,16 @@ Edge = tuple[int, ...]
 #: row lists are freed before the cyclic garbage collector promotes them to
 #: its oldest generation and then rescans the whole heap.
 _TEXT_CHUNK = 1 << 8
+
+#: Characters per block of the byte pass of ``Hypergraph.from_text``; a
+#: block is cut back to whole batches, so its byte and token arrays stay
+#: small whatever the length of the text.
+_TEXT_BLOCK = 1 << 16
+
+#: The line breaks of ``str.splitlines`` other than ``\n``.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+_log = logging.getLogger(__name__)
 
 
 class Codegree(NamedTuple):
@@ -90,13 +105,21 @@ class Hypergraph(Frozen):
             raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "n", int(n))
-        # cheap on the ordered runs blowup and from_text supply; groupby drops repeats
-        ordered = itertools.groupby(sorted(canonical))
-        object.__setattr__(self, "edges", tuple(e for e, _ in ordered))
+        edges = canonical if type(canonical) is list else list(canonical)
+        # blowup and from_text mostly supply strictly increasing runs: one
+        # comparison pass, else sort and drop each edge equal to its successor
+        if not all(map(operator.lt, edges, itertools.islice(edges, 1, None))):
+            edges.sort()
+            last = map(operator.ne, edges, itertools.islice(edges, 1, None))
+            edges = itertools.compress(edges, itertools.chain(last, (True,)))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @classmethod
     def _from_canonical(cls, r: int, n: int, edges: Iterable[Edge]) -> "Hypergraph":
-        """Build from edges already known to be sorted r-subsets of 0..n-1 (unchecked)."""
+        """Build from edges already known to be sorted r-subsets of 0..n-1 (unchecked).
+
+        A list of edges is taken over and may be reordered.
+        """
         graph = cls.__new__(cls)
         graph._fill(r, n, edges)
         return graph
@@ -277,18 +300,26 @@ class Hypergraph(Frozen):
         ``ParseError`` naming the first bad line.
 
         One pass: after the header, lines are read ``_TEXT_CHUNK`` at a
-        time.  A batch whose rows all hold r strictly increasing integers
-        in 0..n-1 is taken whole with list builtins; any other batch is
-        read row by row through ``_canonical_edge``, which sorts a row or
-        names its fault.
+        time, and blocks of whole batches are classified by one numpy pass
+        over their bytes.  A batch whose lines are all blank or r strictly
+        increasing decimal numbers below n, in ASCII digits, spaces and
+        tabs, is taken straight from the values of that pass.  Any other
+        batch is read by ``_read_batch``.
         """
-        lines = text.splitlines()
-        for start, raw in enumerate(lines, start=1):
+        if any(c in text for c in _OTHER_BREAKS):
+            # now line k of the text, split at "\n", is text.splitlines()[k]
+            text = "\n".join(text.splitlines())
+        pos = start = 0
+        while True:
+            end = text.find("\n", pos)
+            raw = text[pos:] if end < 0 else text[pos:end]
+            start += 1
             fields = raw.split()
             if fields and fields[0][0] != "#":
                 break
-        else:
-            raise ParseError("empty input: missing 'r n' header", line=1)
+            if end < 0:
+                raise ParseError("empty input: missing 'r n' header", line=1)
+            pos = end + 1
         try:
             header = [int(f) for f in fields]
         except ValueError:
@@ -300,37 +331,107 @@ class Hypergraph(Frozen):
             raise ParseError(
                 f"header 'r n' needs r >= 1 and n >= 0, got {raw.strip()!r}", line=start
             )
-        flat: list[int] = []
-        for lo in range(start, len(lines), _TEXT_CHUNK):
-            batch = lines[lo : lo + _TEXT_CHUNK]
-            rows = [f for f in map(str.split, batch) if f and f[0][0] != "#"]
-            if rows and set(map(len, rows)) == {r}:
-                try:
-                    ints = list(map(int, itertools.chain.from_iterable(rows)))
-                except ValueError:
-                    ints = []
-                increasing = all(
-                    all(map(operator.lt, ints[k::r], ints[k + 1 :: r])) for k in range(r - 1)
-                )
-                if ints and increasing and min(ints[::r]) >= 0 and max(ints[r - 1 :: r]) < n:
-                    flat += ints
+        edges: list[Edge] = []
+        by_path = [0, 0, 0]  # batches by bytes, by list builtins, row by row
+        size, lineno = _TEXT_BLOCK, start  # lineno: the line before the block
+        pos = len(text) if end < 0 else end + 1
+        while pos < len(text):
+            # one byte per character: whatever is not ASCII becomes "?"
+            block = np.frombuffer(text[pos : pos + size].encode("ascii", "replace"), np.uint8)
+            ends = np.flatnonzero(block == 10)
+            if pos + size < len(text):
+                lines = len(ends) - len(ends) % _TEXT_CHUNK
+                if not lines:  # lines longer than the block: widen it
+                    size *= 2
                     continue
-            for lineno, raw in enumerate(batch, start=lo + 1):
-                fields = raw.split()
-                if not fields or fields[0][0] == "#":
-                    continue
-                try:
-                    flat += _canonical_edge([int(f) for f in fields], r, n)
-                except InvalidArgumentError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-                except ValueError:
-                    raise ParseError(f"non-integer token in {raw.strip()!r}", line=lineno) from None
-        # free the lines before the edge tuples exist, and the flat list
-        # before they are sorted
-        del lines
-        edges = list(zip(*[iter(flat)] * r))
-        del flat
+                ends = ends[:lines]
+                block = block[: ends[-1] + 1]
+            elif block[-1] != 10:
+                ends = np.append(ends, len(block))
+            counts, values, good = _plain_rows(block, ends, r, min(n, 10**18))
+            taken = np.logical_and.reduceat(good, np.arange(0, len(good), _TEXT_CHUNK))
+            flat = values[np.repeat(np.repeat(taken, _TEXT_CHUNK)[: len(good)], counts)]
+            if flat.size:
+                edges += zip(*[iter(flat.tolist())] * r)
+            by_path[0] += int(taken.sum())
+            for lo in np.flatnonzero(~taken).tolist():
+                lo *= _TEXT_CHUNK
+                hi = min(lo + _TEXT_CHUNK, len(good)) - 1
+                first = pos + (int(ends[lo - 1]) + 1 if lo else 0)
+                batch = text[first : pos + int(ends[hi])].split("\n")
+                by_list = _read_batch(batch, lineno + lo + 1, r, n, edges)
+                by_path[1 if by_list else 2] += 1
+            pos += len(block)
+            lineno += len(ends)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("from_text: %d rows; batches: %d by bytes, %d by list builtins, "
+                       "%d row by row", len(edges), *by_path)
         return cls._from_canonical(r, n, edges)
+
+
+def _plain_rows(block: np.ndarray, ends: np.ndarray, r: int, limit: int):
+    """Classify the lines of ``block`` (bytes), line i ending at ``ends[i]``.
+
+    Returns the number of digit runs (tokens) on each line, the value of
+    every token of up to 18 digits, and whether each line is plain: only
+    ASCII digits, spaces and tabs, and either blank or r tokens of at most
+    18 digits, strictly increasing, the last below ``limit``.
+    """
+    digits = block - 48  # wraps, so digits < 10 exactly at b"0".."9"
+    is_digit = digits < 10
+    flips = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+    first, last = flips[::2], flips[1::2] - 1
+    width = last - first + 1
+    values = digits[last].astype(np.int64)
+    for k in range(1, min(int(width.max(initial=0)), 18)):
+        # last - k > -len(block) here; where it wraps, width <= k drops it
+        values += digits[last - k] * np.where(width > k, 10**k, 0)
+    counts = np.diff(np.searchsorted(first, ends), prepend=0)
+    good = (counts == 0) | (counts == r)
+    plain = is_digit | (block == 32) | (block == 9) | (block == 10)
+    good[np.searchsorted(ends, np.flatnonzero(~plain))] = False
+    good[np.searchsorted(ends, first[width > 18])] = False
+    full = counts == r
+    if full.any():
+        rows = values[np.repeat(full, counts)]  # r values per row, end to end
+        ok = rows[r - 1 :: r] < limit
+        # a value not above its left neighbour in the same row
+        drops = np.flatnonzero(rows[1:] <= rows[:-1]) + 1
+        ok[drops[drops % r != 0] // r] = False
+        good[full] &= ok
+    return counts, values, good
+
+
+def _read_batch(batch: list[str], lo: int, r: int, n: int, edges: list) -> bool:
+    """Add the rows of ``batch``, whose first line is line ``lo``, to ``edges``.
+
+    True when every row holds r strictly increasing integers in 0..n-1, so
+    the list builtins take the batch whole; otherwise every row goes
+    through ``_canonical_edge``, which sorts it or names its fault.
+    """
+    rows = [f for f in map(str.split, batch) if f and f[0][0] != "#"]
+    if rows and set(map(len, rows)) == {r}:
+        try:
+            ints = list(map(int, itertools.chain.from_iterable(rows)))
+        except ValueError:
+            ints = []
+        increasing = all(
+            all(map(operator.lt, ints[k::r], ints[k + 1 :: r])) for k in range(r - 1)
+        )
+        if ints and increasing and min(ints[::r]) >= 0 and max(ints[r - 1 :: r]) < n:
+            edges += zip(*[iter(ints)] * r)
+            return True
+    for lineno, raw in enumerate(batch, start=lo):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            edges.append(_canonical_edge([int(f) for f in fields], r, n))
+        except InvalidArgumentError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        except ValueError:
+            raise ParseError(f"non-integer token in {raw.strip()!r}", line=lineno) from None
+    return False
 
 
 def _has_clique(graph: Hypergraph, size: int) -> bool:

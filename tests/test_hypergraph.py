@@ -2,7 +2,9 @@
 
 import copy
 import itertools
+import logging
 import pickle
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -381,7 +383,12 @@ CANONICAL_TEXTS = [
     "2 5\n3 4\n0 1\n1 4\n",
     "4 6\n0 1 2 3\n2 3 4 5\n",
     "3 0003\n00 1 +2\n",
+    f"3 {10**30}\n0 1 {10**25}\n",
+    f"3 4\n0 1 {2:025d}\n",
+    "3 4\n0 1 \u0662\n",
+    "3 4\n0 1 2\n# between rows\n0 1 3\n",
     pytest.param(LONG_TEXT, id="600 rows"),
+    pytest.param(LONG_TEXT.rstrip("\n"), id="600 rows, no final newline"),
 ]
 
 MALFORMED_TEXTS = [
@@ -411,6 +418,10 @@ MALFORMED_TEXTS = [
     "3 4\n0 1 2\n3 4\n",
     "3 4\n0 1 2\n\n0 1 2 3\n1.0 2 3\n",
     "3 300\n0 150 300\n",
+    f"3 4\n0 1 {10**22 + 2}\n",  # its last 18 digits read 2
+    "10000000 2\n0 1\n",
+    "3 4\n0 1 2\x00\n",
+    "3 4\n0 1 2\n0\x7f1 3\n",
     pytest.param(LONG_MALFORMED, id="600 rows, row 400 short"),
 ]
 
@@ -519,6 +530,25 @@ class TestTextPaths:
     def test_to_text_bytes_unchanged(self, graph):
         assert graph.to_text() == old_to_text(graph)
         assert Hypergraph.from_text(graph.to_text()) == graph
+
+    def test_peak_memory_stays_near_the_graph(self):
+        # the graph alone is about 9 times the text; no copy of every line is kept
+        text = "3 100002\n" + "".join(f"{i} {i + 1} {i + 2}\n" for i in range(100_000))
+        tracemalloc.start()
+        try:
+            graph = Hypergraph.from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(graph) == 100_000
+        assert peak <= 11 * len(text)
+
+    def test_debug_record_names_each_batch_path(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="turan.hypergraph"):
+            Hypergraph.from_text(LONG_REVERSED)
+        assert caplog.messages == [
+            "from_text: 600 rows; batches: 2 by bytes, 0 by list builtins, 1 row by row"
+        ]
 
 
 class TestInvariants:
