@@ -13,7 +13,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .common import InvalidArgumentError, ParseError, TuranError, effective_budget
+from .common import (
+    BudgetExceededError,
+    InvalidArgumentError,
+    ParseError,
+    TuranError,
+    effective_budget,
+)
 from .constructions import (
     BlowupSpec,
     blowup,
@@ -78,12 +84,11 @@ def _parse_alphas(text: str) -> list[Fraction]:
             start, stop, step = (Fraction(p) for p in parts)
             if step <= 0:
                 raise InvalidArgumentError("--alphas step must be positive")
-            out = []
-            current = start
-            while current <= stop:
-                out.append(current)
-                current += step
-            return out
+            count = max((stop - start) // step + 1, 0)
+            cap = effective_budget()
+            if count > cap:
+                raise BudgetExceededError(f"--alphas would have {count} values, budget is {cap}")
+            return [start + k * step for k in range(count)]
         return [Fraction(p) for p in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise InvalidArgumentError(f"--alphas could not be parsed: {text!r}") from None

@@ -5,9 +5,9 @@ Vertices are the 0-based integers ``0 .. n-1`` everywhere in this package
 comparing against hand calculations).  Edges are strictly sorted r-tuples
 and the edge set is kept in lexicographic order, so equal hypergraphs
 compare equal structurally.  ``to_text`` writes that canonical form and
-``Hypergraph.from_text``, the one reader, reads it back in a single pass:
-one numpy pass over the bytes of each block of lines, and Python only for
-the batches of lines that pass cannot take.
+``Hypergraph.from_text``, the one reader, reads it back in two steps: one
+numpy pass over the bytes of each block of lines takes every plain row, and
+Python reads each other line by itself.
 """
 
 from __future__ import annotations
@@ -31,13 +31,8 @@ from .common import (
 
 Edge = tuple[int, ...]
 
-#: Lines per batch of ``Hypergraph.from_text``.  Kept small so a batch's
-#: row lists are freed before the cyclic garbage collector promotes them to
-#: its oldest generation and then rescans the whole heap.
-_TEXT_CHUNK = 1 << 8
-
 #: Characters per block of the byte pass of ``Hypergraph.from_text``; a
-#: block is cut back to whole batches, so its byte and token arrays stay
+#: block is cut back to whole lines, so its byte and token arrays stay
 #: small whatever the length of the text.
 _TEXT_BLOCK = 1 << 16
 
@@ -299,12 +294,14 @@ class Hypergraph(Frozen):
         order, and repeated edges collapse to one.  Malformed input raises
         ``ParseError`` naming the first bad line.
 
-        One pass: after the header, lines are read ``_TEXT_CHUNK`` at a
-        time, and blocks of whole batches are classified by one numpy pass
-        over their bytes.  A batch whose lines are all blank or r strictly
-        increasing decimal numbers below n, in ASCII digits, spaces and
-        tabs, is taken straight from the values of that pass.  Any other
-        batch is read by ``_read_batch``.
+        Two steps, after the header: blocks of whole lines are classified
+        by one numpy pass over their bytes, and every plain line (blank, or
+        r strictly increasing decimal numbers below n, in ASCII digits,
+        spaces and tabs) is taken straight from the values of that pass.
+        Each other line is then read by itself, in text order: a row of r
+        strictly increasing integers in 0..n-1 is taken as it is, and any
+        other row goes through ``_canonical_edge``, which sorts it or names
+        its fault.
         """
         if any(c in text for c in _OTHER_BREAKS):
             # now line k of the text, split at "\n", is text.splitlines()[k]
@@ -332,40 +329,48 @@ class Hypergraph(Frozen):
                 f"header 'r n' needs r >= 1 and n >= 0, got {raw.strip()!r}", line=start
             )
         edges: list[Edge] = []
-        by_path = [0, 0, 0]  # batches by bytes, by list builtins, row by row
-        size, lineno = _TEXT_BLOCK, start  # lineno: the line before the block
+        by_bytes, size, lineno = 0, _TEXT_BLOCK, start  # lineno: the line before the block
         pos = len(text) if end < 0 else end + 1
         while pos < len(text):
             # one byte per character: whatever is not ASCII becomes "?"
             block = np.frombuffer(text[pos : pos + size].encode("ascii", "replace"), np.uint8)
             ends = np.flatnonzero(block == 10)
             if pos + size < len(text):
-                lines = len(ends) - len(ends) % _TEXT_CHUNK
-                if not lines:  # lines longer than the block: widen it
+                if not len(ends):  # a line longer than the block: widen it
                     size *= 2
                     continue
-                ends = ends[:lines]
                 block = block[: ends[-1] + 1]
             elif block[-1] != 10:
                 ends = np.append(ends, len(block))
             counts, values, good = _plain_rows(block, ends, r, min(n, 10**18))
-            taken = np.logical_and.reduceat(good, np.arange(0, len(good), _TEXT_CHUNK))
-            flat = values[np.repeat(np.repeat(taken, _TEXT_CHUNK)[: len(good)], counts)]
+            flat = values[np.repeat(good, counts)]
             if flat.size:
                 edges += zip(*[iter(flat.tolist())] * r)
-            by_path[0] += int(taken.sum())
-            for lo in np.flatnonzero(~taken).tolist():
-                lo *= _TEXT_CHUNK
-                hi = min(lo + _TEXT_CHUNK, len(good)) - 1
-                first = pos + (int(ends[lo - 1]) + 1 if lo else 0)
-                batch = text[first : pos + int(ends[hi])].split("\n")
-                by_list = _read_batch(batch, lineno + lo + 1, r, n, edges)
-                by_path[1 if by_list else 2] += 1
+                by_bytes += flat.size // r
+            bad = np.flatnonzero(~good)
+            starts = (np.append(-1, ends)[bad] + pos + 1).tolist()
+            for i, lo, hi in zip(bad.tolist(), starts, (ends[bad] + pos).tolist()):
+                raw = text[lo:hi]
+                fields = raw.split()
+                if not fields or fields[0][0] == "#":
+                    continue
+                line = lineno + i + 1
+                try:
+                    row = [int(f) for f in fields]
+                    if (len(row) == r and row[0] >= 0 and row[-1] < n
+                            and all(map(operator.lt, row, row[1:]))):
+                        edges.append(tuple(row))
+                    else:
+                        edges.append(_canonical_edge(row, r, n))
+                except InvalidArgumentError as exc:
+                    raise ParseError(str(exc), line=line) from None
+                except ValueError:
+                    raise ParseError(f"non-integer token in {raw.strip()!r}", line=line) from None
             pos += len(block)
             lineno += len(ends)
         if _log.isEnabledFor(logging.DEBUG):
-            _log.debug("from_text: %d rows; batches: %d by bytes, %d by list builtins, "
-                       "%d row by row", len(edges), *by_path)
+            _log.debug("from_text: %d rows, %d by bytes, %d line by line",
+                       len(edges), by_bytes, len(edges) - by_bytes)
         return cls._from_canonical(r, n, edges)
 
 
@@ -400,38 +405,6 @@ def _plain_rows(block: np.ndarray, ends: np.ndarray, r: int, limit: int):
         ok[drops[drops % r != 0] // r] = False
         good[full] &= ok
     return counts, values, good
-
-
-def _read_batch(batch: list[str], lo: int, r: int, n: int, edges: list) -> bool:
-    """Add the rows of ``batch``, whose first line is line ``lo``, to ``edges``.
-
-    True when every row holds r strictly increasing integers in 0..n-1, so
-    the list builtins take the batch whole; otherwise every row goes
-    through ``_canonical_edge``, which sorts it or names its fault.
-    """
-    rows = [f for f in map(str.split, batch) if f and f[0][0] != "#"]
-    if rows and set(map(len, rows)) == {r}:
-        try:
-            ints = list(map(int, itertools.chain.from_iterable(rows)))
-        except ValueError:
-            ints = []
-        increasing = all(
-            all(map(operator.lt, ints[k::r], ints[k + 1 :: r])) for k in range(r - 1)
-        )
-        if ints and increasing and min(ints[::r]) >= 0 and max(ints[r - 1 :: r]) < n:
-            edges += zip(*[iter(ints)] * r)
-            return True
-    for lineno, raw in enumerate(batch, start=lo):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        try:
-            edges.append(_canonical_edge([int(f) for f in fields], r, n))
-        except InvalidArgumentError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        except ValueError:
-            raise ParseError(f"non-integer token in {raw.strip()!r}", line=lineno) from None
-    return False
 
 
 def _has_clique(graph: Hypergraph, size: int) -> bool:
@@ -470,7 +443,8 @@ def _has_clique(graph: Hypergraph, size: int) -> bool:
 
 
 def read_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes U+FFFD, never a digit: a ParseError
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return Hypergraph.from_text(fh.read())
 
 

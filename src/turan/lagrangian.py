@@ -34,6 +34,7 @@ from .common import (
     InvalidArgumentError,
     PreconditionError,
 )
+from .hypergraph import _check_pair
 from .polynomial import MultilinearPoly, PolyKernel
 
 #: Convergence target for the projected-gradient (KKT) residual.
@@ -721,8 +722,6 @@ def predicted_segment(
     :meth:`MultilinearPoly.hat`.  Endpoint one puts the averaged weight on
     (v1, v2'), endpoint two on (v1', v2).
     """
-    from .hypergraph import _check_pair
-
     if graph.r != 3:
         raise PreconditionError(f"segment prediction needs a 3-graph, got r={graph.r}")
     v1, v2 = _check_pair(pair, graph.n)

@@ -287,6 +287,22 @@ class TestErrorPaths:
         data = json.loads(err)
         assert data["error"] == "parse-error" and "line 2" in data["message"]
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(b"3 4\n0 1 \xff\n")
+        code, _, err = run(capsys, "lagrangian", "--graph", str(path))
+        assert code == 2
+        data = json.loads(err)
+        assert data["error"] == "parse-error"
+        assert data["message"] == "line 2: non-integer token in '0 1 \ufffd'"
+
+    def test_bad_byte_in_comment(self, tmp_path, capsys):
+        path = tmp_path / "k4.hg"
+        path.write_bytes(b"# made by \xe9\n" + Hypergraph.complete(3, 4).to_text().encode())
+        assert read_hypergraph(str(path)) == Hypergraph.complete(3, 4)
+        code, out, _ = run(capsys, "lagrangian", "--graph", str(path))
+        assert code == 0 and json.loads(out)["exact"] == "1/16"
+
     def test_bad_header(self, tmp_path, capsys):
         path = tmp_path / "bad.hg"
         path.write_text("3 -1\n")
@@ -309,6 +325,19 @@ class TestErrorPaths:
         code, _, err = run(capsys, "blowup", "--graph", base, "--sizes", "3,3,3,3")
         assert code == 1
         assert json.loads(err)["error"] == "budget-exceeded"
+
+    def test_alphas_range_is_budgeted(self, capsys, monkeypatch):
+        # counted before any value is built: 10**9 values would not fit in memory
+        monkeypatch.setenv("TURAN_BUDGET", "10")
+        code, _, err = run(capsys, "feasible-region", "--t", "2", "--alphas", "0:1:1e-9",
+                           "--n", "12")
+        assert code == 1
+        data = json.loads(err)
+        assert data == {"error": "budget-exceeded",
+                        "message": "--alphas would have 1000000001 values, budget is 10"}
+        code, out, _ = run(capsys, "feasible-region", "--t", "2", "--alphas", "0:1/2:1/18",
+                           "--n", "12")
+        assert code == 0 and len(out.splitlines()) == 11  # header + 10 alphas, the budget
 
     def test_malformed_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TURAN_BUDGET", "many")

@@ -332,7 +332,7 @@ def parse_per_line(text: str) -> Hypergraph:
 
 
 def declined_rows(text: str) -> list[list[int]]:
-    """The integer rows a one-line batch cannot take whole, up to the first bad row.
+    """The integer rows the line loop hands to ``_canonical_edge``, up to the first bad row.
 
     Empty when the header is bad: no row is read then.
     """
@@ -364,7 +364,7 @@ LONG_TEXT = "3 602\n" + "\n".join(ROWS) + "\n"
 LONG_REVERSED = LONG_TEXT.replace("\n399 400 401\n", "\n401 400 399\n")
 LONG_MALFORMED = LONG_TEXT.replace("\n399 400 401\n", "\n399 400\n")
 
-# texts every batch takes whole: valid header, every row strictly increasing
+# texts read without ``_canonical_edge``: valid header, every row strictly increasing
 CANONICAL_TEXTS = [
     "3 4\n",
     "1 0\n",
@@ -425,7 +425,7 @@ MALFORMED_TEXTS = [
     pytest.param(LONG_MALFORMED, id="600 rows, row 400 short"),
 ]
 
-# valid texts with a row out of order, which its batch reads row by row
+# valid texts with a row out of order, which goes through ``_canonical_edge``
 SORTED_BY_LOOP_TEXTS = [
     "3 4\n2 1 0\n",
     "3 4\n0 1 2\n3 1 0\n2 1 0\n",
@@ -437,19 +437,22 @@ SORTED_BY_LOOP_TEXTS = [
 
 CORPUS = CANONICAL_TEXTS + MALFORMED_TEXTS + SORTED_BY_LOOP_TEXTS
 
+# byte-pass block sizes: small ones put lines of every kind across block edges
+BLOCKS = [1, 4, 16, hypergraph._TEXT_BLOCK]
+
 
 class TestTextPaths:
-    @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("text", CORPUS)
-    def test_from_text_matches_per_line_loop(self, text, chunk):
-        with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+    def test_from_text_matches_per_line_loop(self, text, block):
+        with mock.patch.object(hypergraph, "_TEXT_BLOCK", block):
             got = parse_outcome(Hypergraph.from_text, text)
         assert got == parse_outcome(parse_per_line, text)
 
-    @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("text", CANONICAL_TEXTS)
-    def test_batch_pass_takes_canonical_texts(self, text, chunk):
-        with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+    def test_batch_pass_takes_canonical_texts(self, text, block):
+        with mock.patch.object(hypergraph, "_TEXT_BLOCK", block):
             with mock.patch.object(
                 hypergraph, "_canonical_edge", wraps=hypergraph._canonical_edge
             ) as spy:
@@ -457,11 +460,12 @@ class TestTextPaths:
         assert spy.call_count == 0
         assert got == parse_per_line(text)
 
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("text", MALFORMED_TEXTS + SORTED_BY_LOOP_TEXTS)
-    def test_batch_pass_declines_the_rest(self, text):
-        # one line per batch: exactly the integer rows that are not already
-        # canonical, up to the first fault, reach the row loop
-        with mock.patch.object(hypergraph, "_TEXT_CHUNK", 1):
+    def test_batch_pass_declines_the_rest(self, text, block):
+        # exactly the integer rows that are not already canonical, up to the
+        # first fault, reach _canonical_edge
+        with mock.patch.object(hypergraph, "_TEXT_BLOCK", block):
             with mock.patch.object(
                 hypergraph, "_canonical_edge", wraps=hypergraph._canonical_edge
             ) as spy:
@@ -469,17 +473,16 @@ class TestTextPaths:
         assert got == parse_outcome(parse_per_line, text)
         assert [list(call.args[0]) for call in spy.call_args_list] == declined_rows(text)
 
-    @pytest.mark.parametrize("chunk", [1, 3, hypergraph._TEXT_CHUNK])
-    def test_only_the_faulty_batch_is_read_row_by_row(self, chunk):
-        with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_only_the_faulty_batch_is_read_row_by_row(self, block):
+        with mock.patch.object(hypergraph, "_TEXT_BLOCK", block):
             with mock.patch.object(
                 hypergraph, "_canonical_edge", wraps=hypergraph._canonical_edge
             ) as spy:
                 got = Hypergraph.from_text(LONG_REVERSED)
         assert got == Hypergraph.from_text(LONG_TEXT)
-        # batches of `chunk` lines start right after the header, so row j is in batch (j-1)//chunk
-        same_batch = [j for j in range(1, 601) if (j - 1) // chunk == (400 - 1) // chunk]
-        assert spy.call_count == len(same_batch)
+        # row 400 alone is out of order
+        assert [list(call.args[0]) for call in spy.call_args_list] == [[401, 400, 399]]
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -491,8 +494,8 @@ class TestTextPaths:
         ],
     )
     def test_first_fault_wins(self, text, line, message):
-        for chunk in (1, 3, hypergraph._TEXT_CHUNK):
-            with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+        for block in BLOCKS:
+            with mock.patch.object(hypergraph, "_TEXT_BLOCK", block):
                 with pytest.raises(ParseError) as err:
                     Hypergraph.from_text(text)
             assert err.value.line == line
@@ -508,8 +511,8 @@ class TestTextPaths:
         h = Hypergraph(r, n, edges)
         text = h.to_text()
         assert text == old_to_text(h)
-        for chunk in (1, 3, hypergraph._TEXT_CHUNK):
-            with mock.patch.object(hypergraph, "_TEXT_CHUNK", chunk):
+        for block in BLOCKS:
+            with mock.patch.object(hypergraph, "_TEXT_BLOCK", block):
                 assert Hypergraph.from_text(text) == h
 
     @pytest.mark.parametrize(
@@ -547,7 +550,7 @@ class TestTextPaths:
         with caplog.at_level(logging.DEBUG, logger="turan.hypergraph"):
             Hypergraph.from_text(LONG_REVERSED)
         assert caplog.messages == [
-            "from_text: 600 rows; batches: 2 by bytes, 0 by list builtins, 1 row by row"
+            "from_text: 600 rows, 599 by bytes, 1 line by line"
         ]
 
 
