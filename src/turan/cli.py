@@ -90,6 +90,8 @@ def _parse_alphas(text: str) -> list[Fraction]:
                 raise BudgetExceededError(f"--alphas would have {count} values, budget is {cap}")
             return [start + k * step for k in range(count)]
         return [Fraction(p) for p in text.split(",")]
+    except InvalidArgumentError:
+        raise  # a ValueError too, but already says what is wrong
     except (ValueError, ZeroDivisionError):
         raise InvalidArgumentError(f"--alphas could not be parsed: {text!r}") from None
 

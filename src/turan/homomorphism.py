@@ -20,19 +20,28 @@ in injective mode too.  Each pair lies in an edge, whose image has r
 distinct vertices, so an endomorphism is injective, hence bijective on the
 finite vertex set; it then sends the edges injectively into a set of the
 same size, so onto it, and non-edges onto non-edges.  The endomorphisms
-are therefore exactly the automorphisms, and they preserve degrees, so
-domains are seeded with degree classes; the graph is a core (Hell &
+are therefore exactly the automorphisms; the graph is a core (Hell &
 Nesetril, *Graphs and Homomorphisms*, 2004).
+
+Injective mode seeds its domains with link-profile classes: a vertex v's
+profile is its degree and the sorted sizes |link(v) & link(u)| over the
+other vertices u, where link(v) is the set of (r-1)-sets completing v to an
+edge.  An isomorphism carries links onto links, so it preserves profiles
+and the classes prune no solution; they separate vertices that degrees
+cannot, such as vertex t-1 of gamma(t).
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .common import BudgetExceededError, InvalidArgumentError, SizeLimitError
 from .hypergraph import Hypergraph
+
+_log = logging.getLogger(__name__)
 
 #: Vertex bound for endomorphism enumeration.  On two-covered graphs it also
 #: bounds the injective mode's set-up, which lists all C(n, r) r-sets
@@ -52,24 +61,34 @@ class VertexMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+        images = tuple(map(int, self.images))
         object.__setattr__(self, "images", images)
         if len(images) != self.from_n:
             raise InvalidArgumentError(
                 f"need {self.from_n} images, got {len(images)}"
             )
-        if any(not 0 <= v < self.to_n for v in images):
+        if images and (min(images) < 0 or max(images) >= self.to_n):
             raise InvalidArgumentError("image vertex out of range")
 
     def __call__(self, v: int) -> int:
         return self.images[v]
 
     def is_homomorphism(self, source: Hypergraph, target: Hypergraph) -> bool:
-        """Direct check that every source edge maps onto a target edge."""
-        target_edges = target.edge_set
+        """Direct check that every source edge maps onto a target edge.
+
+        Each image is tested as a vertex bitmask against
+        ``target.edge_masks``; an image that collapses has fewer than r bits,
+        so it matches no edge.
+        """
+        if source.edges and source.r != target.r:
+            return False
+        masks = target.edge_masks
+        bits = [1 << w for w in self.images]
         for e in source.edges:
-            image = tuple(sorted(self.images[v] for v in e))
-            if len(set(image)) != source.r or image not in target_edges:
+            mask = 0
+            for v in e:
+                mask |= bits[v]
+            if mask not in masks:
                 return False
         return True
 
@@ -125,14 +144,9 @@ def _search(
     # link[mask]: vertices completing the (r-1)-set ``mask`` to an edge
     adj = [0] * target.n
     link: dict[int, int] = {}
-    for e in target.edges:
-        mask = 0
-        for w in e:
-            mask |= 1 << w
-        for w in e:
-            rest = mask ^ (1 << w)
-            adj[w] |= rest
-            link[rest] = link.get(rest, 0) | (1 << w)
+    for bit, rest in _edge_splits(target):
+        adj[bit.bit_length() - 1] |= rest
+        link[rest] = link.get(rest, 0) | bit
     domains = [(1 << target.n) - 1] * size
     # later positions sharing a covered pair with each position
     pair_sets: list[set[int]] = [set() for _ in order]
@@ -211,6 +225,12 @@ def _search(
 
     if all(domains):
         attempt(0, domains)
+    if _log.isEnabledFor(logging.DEBUG):
+        if classes is None:
+            _log.debug("search: general, %d nodes", nodes)
+        else:
+            _log.debug("search: injective, %d seed classes, %d r-sets listed, %d nodes",
+                       len(set(classes)), len(closed), nodes)
     return nodes
 
 
@@ -264,17 +284,21 @@ def enumerate_endomorphisms(graph: Hypergraph, limit: int = 1_000_000) -> list[V
 
     When every vertex pair lies in an edge, every endomorphism is an
     automorphism (see the module docstring), so the search runs in
-    injective mode with degree classes; it finds the same maps in the same
-    order.
+    injective mode with link-profile classes; it finds the same maps in the
+    same order.
     """
     if graph.n > ENDOMORPHISM_VERTEX_BOUND:
         raise SizeLimitError(
             f"endomorphism enumeration limited to {ENDOMORPHISM_VERTEX_BOUND} vertices"
         )
     classes = None
-    if graph.is_two_covered():
-        degrees = graph.degrees()
-        classes = _degree_classes(degrees, degrees)
+    two_covered = graph.is_two_covered()
+    if two_covered:
+        profiles = _link_profiles(graph)
+        classes = [sum(1 << w for w, q in enumerate(profiles) if q == p) for p in profiles]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("endomorphisms: %s", "two-covered, injective search" if two_covered
+                   else "not two-covered, general search")
     return _enumerate(graph, graph, limit, classes)
 
 
@@ -303,9 +327,26 @@ def _enumerate(
     return out
 
 
-def _degree_classes(source_degrees: list[int], target_degrees: list[int]) -> list[int]:
-    """One bitmask per source vertex: the target vertices of equal degree."""
-    return [sum(1 << w for w, d in enumerate(target_degrees) if d == d1) for d1 in source_degrees]
+def _edge_splits(graph: Hypergraph) -> Iterator[tuple[int, int]]:
+    """(1 << v, mask of the rest) for each vertex v of each edge."""
+    for mask in graph.edge_masks:
+        left = mask
+        while left:
+            bit = left & -left
+            left ^= bit
+            yield bit, mask ^ bit
+
+
+def _link_profiles(graph: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
+    """Each vertex's degree and sorted |link(v) & link(u)| over u != v,
+    with links held as sets of (r-1)-set masks (see the module docstring)."""
+    links: list[set[int]] = [set() for _ in range(graph.n)]
+    for bit, rest in _edge_splits(graph):
+        links[bit.bit_length() - 1].add(rest)
+    return [
+        (len(mine), tuple(sorted(len(mine & other) for u, other in enumerate(links) if u != v)))
+        for v, mine in enumerate(links)
+    ]
 
 
 def partial_embedding_check(t: int) -> bool:
@@ -350,7 +391,8 @@ def are_isomorphic(
 
     Returns a bijection ``phi`` with ``phi[v]`` the image of v, or None.
     Runs the forward-checking search in injective mode, in decreasing-degree
-    order, with each domain seeded by the target vertices of equal degree.
+    order, with each domain seeded by the target vertices of equal link
+    profile (see the module docstring).
     """
     if h1.n > max_vertices or h2.n > max_vertices:
         raise SizeLimitError(
@@ -359,14 +401,15 @@ def are_isomorphic(
         )
     if h1.r != h2.r or h1.n != h2.n or len(h1.edges) != len(h2.edges):
         return None
-    deg1 = h1.degrees()
-    deg2 = h2.degrees()
-    if sorted(deg1) != sorted(deg2):
+    prof1 = _link_profiles(h1)
+    prof2 = _link_profiles(h2)
+    if sorted(prof1) != sorted(prof2):
         return None
-    order = sorted(range(h1.n), key=lambda v: (-deg1[v], v))
+    order = sorted(range(h1.n), key=lambda v: (-prof1[v][0], v))
+    classes = [sum(1 << w for w, q in enumerate(prof2) if q == p) for p in prof1]
     found: list[tuple[int, ...]] = []
     # list.append returns None, so the search stops at the first solution
-    _search(h1, h2, order, found.append, classes=_degree_classes(deg1, deg2))
+    _search(h1, h2, order, found.append, classes=classes)
     return found[0] if found else None
 
 

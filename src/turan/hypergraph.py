@@ -86,7 +86,7 @@ class Hypergraph(Frozen):
     rejected rather than silently deduplicated.
     """
 
-    __slots__ = ("r", "n", "edges", "_edge_set")
+    __slots__ = ("r", "n", "edges", "_edge_set", "_edge_masks")
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
         # lazy, so r and n are checked before any edge
@@ -128,6 +128,17 @@ class Hypergraph(Frozen):
             edge_set = frozenset(self.edges)
             object.__setattr__(self, "_edge_set", edge_set)
             return edge_set
+
+    @property
+    def edge_masks(self) -> frozenset:
+        """Each edge as the bitmask ``sum(1 << v for v in e)``, built on
+        first use and kept."""
+        try:
+            return self._edge_masks
+        except AttributeError:
+            masks = frozenset(sum(1 << v for v in e) for e in self.edges)
+            object.__setattr__(self, "_edge_masks", masks)
+            return masks
 
     # -- construction helpers -------------------------------------------------
 

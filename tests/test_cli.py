@@ -339,6 +339,23 @@ class TestErrorPaths:
                            "--n", "12")
         assert code == 0 and len(out.splitlines()) == 11  # header + 10 alphas, the budget
 
+    @pytest.mark.parametrize(
+        "alphas, message",
+        [
+            ("0:1:0", "--alphas step must be positive"),
+            ("0:1:-1/4", "--alphas step must be positive"),
+            ("0:1", "--alphas range expects start:stop:step, got '0:1'"),
+            ("0:1:1:1", "--alphas range expects start:stop:step, got '0:1:1:1'"),
+            ("x:1:1", "--alphas could not be parsed: 'x:1:1'"),
+            ("1,1/0", "--alphas could not be parsed: '1,1/0'"),
+        ],
+    )
+    def test_alphas_errors_keep_their_message(self, capsys, alphas, message):
+        code, out, err = run(capsys, "feasible-region", "--t", "2", "--alphas", alphas,
+                             "--n", "12")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "invalid-argument", "message": message}
+
     def test_malformed_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TURAN_BUDGET", "many")
         code, _, err = run(capsys, "gamma", "--t", "2")

@@ -1,6 +1,8 @@
 """Homomorphism search against exhaustive and permutation oracles."""
 
 import itertools
+import logging
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -529,3 +531,172 @@ class TestVertexMap:
     def test_callable(self):
         phi = VertexMap(3, 5, (4, 0, 2))
         assert phi(0) == 4 and phi(2) == 2
+
+    def test_images_and_range(self):
+        assert VertexMap(0, 0, ()).images == ()
+        assert VertexMap(2, 3, np.array([2, 0])).images == (2, 0)
+        for images in ((0, 3), (-1, 0)):
+            with pytest.raises(InvalidArgumentError, match="image vertex out of range"):
+                VertexMap(2, 3, images)
+        with pytest.raises(InvalidArgumentError, match="need 2 images, got 1"):
+            VertexMap(2, 3, (0,))
+
+
+def sorted_tuple_is_homomorphism(phi, source, target):
+    """Reference check: each edge image, sorted, is r distinct vertices
+    forming a target edge."""
+    target_edges = set(target.edges)
+    for e in source.edges:
+        image = tuple(sorted(phi.images[v] for v in e))
+        if len(set(image)) != source.r or image not in target_edges:
+            return False
+    return True
+
+
+class TestMaskCheck:
+    """``is_homomorphism`` tests edge images as bitmasks."""
+
+    def test_against_sorted_tuple_reference(self):
+        rng = np.random.default_rng(110)
+        seen = set()
+        for _ in range(400):
+            r = int(rng.integers(1, 5))
+            target_r = r if rng.random() < 0.75 else int(rng.integers(1, 5))
+            source = random_graph(rng, r, int(rng.integers(0, 6)), float(rng.uniform(0, 0.5)))
+            target = random_graph(rng, target_r, int(rng.integers(0, 7)), float(rng.uniform(0.4, 1)))
+            # to_n may differ from target.n: images past the target match no edge
+            to_n = max(target.n + int(rng.integers(-1, 3)), 1 if source.n else 0)
+            # a small pool of images makes collapsed edges common
+            pool = rng.permutation(to_n)[: int(rng.integers(1, to_n + 1))] if to_n else []
+            maps = [VertexMap(source.n, to_n, tuple(int(v) for v in rng.choice(pool, source.n)))
+                    if source.n else VertexMap(0, to_n, ())]
+            if source.r == target.r and to_n == target.n:
+                maps += enumerate_homomorphisms(source, target)[:3]
+            for phi in maps:
+                want = sorted_tuple_is_homomorphism(phi, source, target)
+                assert phi.is_homomorphism(source, target) == want
+                collapses = any(len({phi.images[v] for v in e}) < r for e in source.edges)
+                seen.add((want, collapses, source.r == target.r, bool(source.edges)))
+        # every kind of case came up: homomorphisms, collapsed images,
+        # uniformity mismatches with and without source edges
+        assert {(True, False, True, True), (False, True, True, True), (False, False, False, True),
+                (True, False, False, False)} <= seen
+
+    def test_collapse_onto_a_smaller_edge(self):
+        # 012 -> {0, 1} has the bits of the 2-edge 01, but is no homomorphism
+        phi = VertexMap(3, 2, (0, 0, 1))
+        pair = Hypergraph(2, 2, [(0, 1)])
+        assert not phi.is_homomorphism(Hypergraph(3, 3, [(0, 1, 2)]), pair)
+        assert phi.is_homomorphism(Hypergraph.empty(3, 3), pair)
+
+
+def unseeded_injective(source, target, order, first=False):
+    """``_search`` in injective mode with every domain the full vertex set."""
+    found = []
+
+    def record(images):
+        found.append(images)
+        return not first
+
+    full = (1 << target.n) - 1
+    homomorphism._search(source, target, order, record, classes=[full] * source.n)
+    return found
+
+
+class TestLinkProfileClasses:
+    """Seeding with link-profile classes prunes no solution."""
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_gamma_endomorphisms(self, t):
+        graph = gamma(t)
+        got = [phi.images for phi in enumerate_endomorphisms(graph)]
+        assert got == unseeded_injective(graph, graph, list(range(graph.n)))
+
+    def test_random_two_covered_3_graphs(self):
+        rng = np.random.default_rng(120)
+        for n in range(3, 9):
+            for _ in range(3):
+                graph = random_two_covered(rng, 3, n)
+                got = [phi.images for phi in enumerate_endomorphisms(graph)]
+                assert got == unseeded_injective(graph, graph, list(range(n)))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_first_isomorphism(self, r):
+        rng = np.random.default_rng(130 + r)
+        answers = set()
+        for n in range(8):
+            for _ in range(4):
+                h1 = random_graph(rng, r, n, 0.5)
+                perm = tuple(int(v) for v in rng.permutation(n))
+                for h2 in (
+                    h1.relabel(perm),
+                    swap_one_edge(rng, h1).relabel(perm),
+                    random_graph(rng, r, n, 0.5),
+                ):
+                    degrees = h1.degrees()
+                    order = sorted(range(n), key=lambda v: (-degrees[v], v))
+                    want = unseeded_injective(h1, h2, order, first=True)
+                    got = are_isomorphic(h1, h2)
+                    assert got == (want[0] if want else None)
+                    answers.add(got is not None)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("t", range(3, 7))
+    def test_vertex_before_the_specials_stands_alone(self, t):
+        # degrees put vertex t-1 of gamma(t) with the rest of the head
+        graph = gamma(t)
+        profiles = homomorphism._link_profiles(graph)
+        assert [v for v in range(graph.n) if profiles[v] == profiles[t - 1]] == [t - 1]
+        degrees = graph.degrees()
+        assert degrees[t - 1] == degrees[0]
+        assert [p[0] for p in profiles] == degrees
+
+
+class TestDebugLog:
+    def records(self, caplog, run):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="turan.homomorphism"):
+            run()
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        return [r.getMessage() for r in caplog.records]
+
+    def test_quiet_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="turan"):
+            enumerate_endomorphisms(gamma(3))
+            are_isomorphic(K4, K4)
+        assert not caplog.records
+
+    @pytest.mark.parametrize(
+        "t, nodes", [(3, 38), (4, 117), (5, 472), (6, 2365)]
+    )
+    def test_two_covered_endomorphisms(self, caplog, t, nodes):
+        # degree classes expand 63, 232, 1,093 and 6,276 nodes here
+        n = t + 4
+        assert self.records(caplog, lambda: enumerate_endomorphisms(gamma(t))) == [
+            "endomorphisms: two-covered, injective search",
+            f"search: injective, 3 seed classes, {comb(n, 3)} r-sets listed, {nodes} nodes",
+        ]
+
+    def test_general_search(self, caplog):
+        assert self.records(caplog, lambda: enumerate_endomorphisms(gamma(1))) == [
+            "endomorphisms: not two-covered, general search",
+            "search: general, 294 nodes",
+        ]
+        nodes = search_homomorphism(K4, gamma(2)).nodes_expanded
+        assert self.records(caplog, lambda: search_homomorphism(K4, gamma(2))) == [
+            f"search: general, {nodes} nodes"
+        ]
+
+    def test_isomorphism(self, caplog):
+        # relabelled K4: one class of four, C(4, 3) r-sets
+        assert self.records(caplog, lambda: are_isomorphic(K4, K4.relabel((3, 1, 0, 2)))) == [
+            "search: injective, 1 seed classes, 4 r-sets listed, 4 nodes"
+        ]
+        # tight 11-cycle against tight 5- and 6-cycles: equal degrees, unequal
+        # link profiles, so no search runs
+        def cycle(n, offset=0):
+            return [tuple(sorted((i + k) % n + offset for k in range(3))) for i in range(n)]
+
+        one, two = Hypergraph(3, 11, cycle(11)), Hypergraph(3, 11, cycle(5) + cycle(6, 5))
+        assert sorted(one.degrees()) == sorted(two.degrees())
+        assert self.records(caplog, lambda: are_isomorphic(one, two)) == []

@@ -617,6 +617,15 @@ class TestCopyAndPickle:
             assert not hasattr(clone, "_edge_set")
             assert clone.edge_set == graph.edge_set
 
+    def test_edge_masks_cached_and_not_carried(self):
+        graph = gamma(3)
+        assert graph.edge_masks == frozenset(sum(1 << v for v in e) for e in graph.edges)
+        assert len(graph.edge_masks) == len(graph.edges)
+        assert graph.edge_masks is graph.edge_masks
+        for clone in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+            assert not hasattr(clone, "_edge_masks")
+            assert clone.edge_masks == graph.edge_masks
+
     def test_clone_stays_immutable(self):
         clone = pickle.loads(pickle.dumps(K4))
         with pytest.raises(AttributeError):
