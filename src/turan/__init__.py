@@ -27,7 +27,6 @@ from .constructions import (
     count_extremal_profiles,
     crossed_blowup,
     double_vertex,
-    euler_phi,
     extremal_blowup_search,
     feasible_limit,
     feasible_point,
@@ -36,7 +35,6 @@ from .constructions import (
     gamma_permutation,
     k_crossed_blowup,
     tight_cycle,
-    totient_divisor_sum,
 )
 from .homomorphism import (
     HomSearchResult,

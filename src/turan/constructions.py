@@ -407,9 +407,9 @@ def count_extremal_profiles(t: int, n: int) -> ExtremalProfiles:
     """All alpha in [0, 1/2] with alpha * n/(t+2) integral, with their blowups.
 
     Requires (t+2) | n.  With m = n/(t+2) the set is {j/m : 0 <= j <= m/2},
-    so there are floor(m/2)+1 profiles, which is at least n/(2(t+2)) since
-    the totients of the divisors of m sum to m.  Each profile's size vector
-    (m, ..., m, j, m-j, m-j, j) attains t(t+1)/(6(t+2)^2) n^3 edges.
+    so there are floor(m/2)+1 > m/2 = n/(2(t+2)) profiles.  Each profile's
+    size vector (m, ..., m, j, m-j, m-j, j) attains t(t+1)/(6(t+2)^2) n^3
+    edges.
     """
     if t < 1:
         raise InvalidArgumentError(f"t must be >= 1, got {t}")
@@ -425,36 +425,6 @@ def count_extremal_profiles(t: int, n: int) -> ExtremalProfiles:
         head = (m,) * t
     sizes = tuple(head + (j, m - j, m - j, j) for j in range(m // 2 + 1))
     return ExtremalProfiles(t=t, n=n, alphas=alphas, part_sizes=sizes)
-
-
-def euler_phi(q: int) -> int:
-    """Euler's totient by trial-division factorization."""
-    if q < 1:
-        raise InvalidArgumentError(f"totient needs q >= 1, got {q}")
-    result = q
-    p, rest = 2, q
-    while p * p <= rest:
-        if rest % p == 0:
-            result -= result // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
-
-
-def totient_divisor_sum(m: int) -> int:
-    """Sum of euler_phi(q) over the divisors q of m (equals m)."""
-    if m < 1:
-        raise InvalidArgumentError(f"need m >= 1, got {m}")
-    total = 0
-    for q in range(1, int(math.isqrt(m)) + 1):
-        if m % q == 0:
-            total += euler_phi(q)
-            if q != m // q:
-                total += euler_phi(m // q)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ Each criterion is a function returning one line per sub-check; the CLI
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .common import InvalidArgumentError
 from .constructions import (
     BlowupSpec,
     blowup,
@@ -20,7 +22,6 @@ from .constructions import (
     count_extremal_profiles,
     crossed_blowup,
     double_vertex,
-    euler_phi,
     extremal_blowup_search,
     feasible_limit,
     feasible_point,
@@ -67,6 +68,19 @@ def permute_point(point: SimplexPoint, perm) -> SimplexPoint:
     for i, target in enumerate(perm):
         out[target] = coords[i]
     return SimplexPoint(out)
+
+
+def _degree3_lattice(corners) -> list[list[Fraction]]:
+    """The degree-3 principal lattice of the simplex spanned by ``corners``.
+
+    Its points are the averages of the multisets of 3 corners.  The lattice is
+    unisolvent for cubics: a polynomial of degree <= 3 is fixed on the affine
+    hull of the corners by its values there.
+    """
+    return [
+        [sum(coords, Fraction(0)) / 3 for coords in zip(*triple)]
+        for triple in itertools.combinations_with_replacement(corners, 3)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +141,8 @@ def check_segment_certificates(seed: int = 0) -> list[CheckResult]:
             canon_poly, permute_point(first, perm), permute_point(second, perm), 11, target
         )
         out.append(segment_line(f"segment under gamma({t}) labels", cert))
-    # p restricted to the triangle is a bivariate cubic, and the degree-3
-    # principal lattice is unisolvent for cubics: 10 exact hits prove p constant
+    # p restricted to the triangle is a bivariate cubic, so 10 exact hits on
+    # the degree-3 lattice prove p constant there
     third = Fraction(1, 3)
     zero = Fraction(0)
     corners = [
@@ -137,9 +151,8 @@ def check_segment_certificates(seed: int = 0) -> list[CheckResult]:
         (zero, third, zero, third, third, zero),
     ]
     poly1 = MultilinearPoly.from_hypergraph(gamma(1))
-    lattice = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
-    points = [[(i * a + j * b + k * c) / 3 for a, b, c in zip(*corners)] for i, j, k in lattice]
-    ok = all(value == Fraction(1, 27) for value in poly1.kernel.rational_values(points))
+    lattice = _degree3_lattice(corners)
+    ok = all(value == Fraction(1, 27) for value in poly1.kernel.rational_values(lattice))
     out.append(
         _result(
             "gamma(1) optimal triangle: proved = 1/27 by the 10-point degree-3 lattice",
@@ -429,35 +442,31 @@ def check_property_suites(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    # quadratic-mean bound for complete 3-graphs, exact arithmetic
+    # cubic identity for complete 3-graphs: with y = x - 1/n on sum(x) = 1,
+    # p = lambda_n - ((n-2)/(2n))|y|^2 + sum(y^3)/3; both sides are cubics, so
+    # the degree-3 lattice proves it, and y_i <= (n-1)/n turns it into the bound
+    points = 0
     ok = True
-    for t in (2, 3, 4):
-        poly = MultilinearPoly.from_hypergraph(Hypergraph.complete(3, t + 2))
-        cap = Fraction(t * (t + 1), 2 * (t + 2) ** 2)
-        slope = Fraction(t, 6 * (t + 2))
-        for _ in range(1000):
-            y = _random_exact_simplex_point(rng, t + 2)
-            spread = sum((c - Fraction(1, t + 2)) ** 2 for c in y.coords)
-            if poly.evaluate(y.coords) > cap - slope * spread:
+    for n in (4, 5, 6):
+        poly = MultilinearPoly.from_hypergraph(Hypergraph.complete(3, n))
+        lattice = _degree3_lattice([[int(i == j) for j in range(n)] for i in range(n)])
+        lam = Fraction(math.comb(n, 3), n**3)
+        for x, value in zip(lattice, poly.kernel.rational_values(lattice)):
+            y = [c - Fraction(1, n) for c in x]
+            square = sum(c * c for c in y)
+            cube = sum(c**3 for c in y)
+            if value != lam - Fraction(n - 2, 2 * n) * square + cube / 3:
                 ok = False
-                break
-        if not ok:
-            break
+        ok = ok and poly.degree() <= 3
+        points += len(lattice)
     out.append(
-        _result("complete-graph upper bound holds on 3000 exact samples", ok, "")
+        _result(
+            "K_n^3, n=4,5,6, y = x - 1/n: p = C(n,3)/n^3 - ((n-2)/(2n))|y|^2 + sum(y^3)/3, so"
+            " p <= C(n,3)/n^3 - ((n-4)/(6n))|y|^2",
+            ok,
+            f"proved by {points} exact evaluations on the degree-3 lattice",
+        )
     )
-
-    # product-of-two identity on the package's exact evaluation
-    ok = True
-    product = MultilinearPoly.monomial(2, (0, 1))
-    for _ in range(200):
-        x = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 30)))
-        y = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 30)))
-        mid = (x + y) / 2
-        if product.evaluate([x, y]) != product.evaluate([mid, mid]) - ((x - y) / 2) ** 2:
-            ok = False
-            break
-    out.append(_result("xy = ((x+y)/2)^2 - ((x-y)/2)^2 on 200 exact samples", ok, ""))
 
     # analytic gradient against central differences
     ok = True
@@ -484,44 +493,26 @@ def check_property_suites(seed: int = 0) -> list[CheckResult]:
         _result(f"gradient matches central differences at {checked} points", ok, "")
     )
 
-    # cloning a vertex never moves the optimum
+    # doubling w substitutes x_w + x_w' for x_w in the edge polynomial, which
+    # maps the larger simplex onto the smaller one, so lambda is kept exactly
     ok = True
-    worst = 0.0
     for _ in range(20):
         base = _random_hypergraph(rng, 3, int(rng.integers(4, 6)), density=0.7)
-        if not base.edges:
-            continue
         w = int(rng.integers(0, base.n))
-        a = maximize(MultilinearPoly.from_hypergraph(base), starts=32, seed=seed)
-        b = maximize(
-            MultilinearPoly.from_hypergraph(double_vertex(base, w)), starts=32, seed=seed
-        )
-        worst = max(worst, abs(a.value - b.value))
-        if abs(a.value - b.value) > 2e-9:
+        p = MultilinearPoly.from_hypergraph(base).with_variables(base.n + 1)
+        slope = p.partial(w)
+        x_w = MultilinearPoly.variable(p.m, w)
+        rest = p - x_w * slope
+        clones = x_w + MultilinearPoly.variable(p.m, base.n)
+        if MultilinearPoly.from_hypergraph(double_vertex(base, w)) != rest + clones * slope:
             ok = False
     out.append(
         _result(
-            "lambda is invariant under vertex doubling (20 cases, tol 2e-9)",
+            "lambda is invariant under vertex doubling: p(doubled) = p with"
+            " x_w -> x_w + x_w' (20 exact identities)",
             ok,
-            f"worst gap {worst:.2e}",
+            "",
         )
-    )
-
-    # totients of divisors sum back to the number, all m <= 10^4; the sieve is
-    # the reference that euler_phi is checked against
-    limit = 10_000
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for mult in range(p, limit + 1, p):
-                phi[mult] -= phi[mult] // p
-    sums = [0] * (limit + 1)
-    for q in range(1, limit + 1):
-        for mult in range(q, limit + 1, q):
-            sums[mult] += phi[q]
-    ok = all(sums[m] == m and euler_phi(m) == phi[m] for m in range(1, limit + 1))
-    out.append(
-        _result("divisor totient sums equal m for every m <= 10^4", ok, "")
     )
     return out
 
@@ -605,8 +596,6 @@ def run_criteria(
     elif which in CHECKS:
         names = [which]
     else:
-        from .common import InvalidArgumentError
-
         raise InvalidArgumentError(
             f"unknown suite {which!r}; choose from {['all', *CHECKS]}"
         )

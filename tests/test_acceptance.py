@@ -8,6 +8,9 @@ import time
 
 import pytest
 
+from turan import verify
+from turan.constructions import double_vertex
+from turan.hypergraph import Hypergraph
 from turan.verify import CHECKS
 
 CRITERIA = [
@@ -17,7 +20,7 @@ CRITERIA = [
     ("4", "extremal-counts", 10.0),
     ("5", "homomorphism-lemmas", 60.0),
     ("6", "feasible-region", 30.0),
-    ("7", "property-suites", None),
+    ("7", "property-suites", 2.0),
     ("8", "stability-fit", 60.0),
 ]
 
@@ -34,5 +37,35 @@ def test_criterion(number, name, time_budget):
     print(f"criterion {number} ({name}) finished in {elapsed:.2f}s")
     failed = [line.name for line in results if not line.passed]
     assert not failed, f"criterion {number} failed: {failed}"
-    if time_budget is not None:
-        assert elapsed <= time_budget, f"criterion {number} took {elapsed:.2f}s"
+    assert elapsed <= time_budget, f"criterion {number} took {elapsed:.2f}s"
+
+
+def property_line(prefix: str) -> bool:
+    """Whether the property-suites line whose name starts with prefix passes."""
+    (line,) = [r for r in verify.check_property_suites(seed=0) if r.name.startswith(prefix)]
+    return line.passed
+
+
+class TestExactPropertyLines:
+    """The exact identity lines fail when the construction they prove is wrong.
+
+    Unpatched, both pass: ``test_criterion[property-suites]`` runs them.
+    """
+
+    def test_doubling_fails_when_the_copies_share_an_edge(self, monkeypatch):
+        def double_with_shared_edge(graph, w):
+            doubled = double_vertex(graph, w)
+            third = min(v for v in range(graph.n) if v != w)
+            return Hypergraph(3, doubled.n, [*doubled.edges, (third, w, graph.n)])
+
+        monkeypatch.setattr(verify, "double_vertex", double_with_shared_edge)
+        assert not property_line("lambda is invariant under vertex doubling")
+
+    def test_complete_graph_identity_fails_without_one_edge(self, monkeypatch):
+        class MissingEdge(Hypergraph):
+            @classmethod
+            def complete(cls, r, n):
+                return Hypergraph(r, n, Hypergraph.complete(r, n).edges[1:])
+
+        monkeypatch.setattr(verify, "Hypergraph", MissingEdge)
+        assert not property_line("K_n^3")

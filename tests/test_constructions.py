@@ -23,7 +23,6 @@ from turan import (
     count_extremal_profiles,
     crossed_blowup,
     double_vertex,
-    euler_phi,
     extremal_blowup_search,
     feasible_limit,
     feasible_point,
@@ -31,7 +30,6 @@ from turan import (
     gamma_lagrangian,
     k_crossed_blowup,
     tight_cycle,
-    totient_divisor_sum,
 )
 from turan.constructions import _blowup_shadow_count
 from turan.polynomial import PolyKernel
@@ -430,19 +428,6 @@ class TestExtremalProfiles:
     def test_divisibility_enforced(self):
         with pytest.raises(InvalidArgumentError):
             count_extremal_profiles(2, 13)
-
-
-class TestTotients:
-    def test_small_values(self):
-        assert [euler_phi(q) for q in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
-
-    def test_gauss_identity_m12(self):
-        assert totient_divisor_sum(12) == 12
-        assert sum(euler_phi(q) for q in (1, 2, 3, 4, 6, 12)) == 12
-
-    def test_gauss_identity_sample(self):
-        for m in (1, 7, 36, 97, 360, 1024, 9999):
-            assert totient_divisor_sum(m) == m
 
 
 class TestFeasible:
