@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion; ``turan verify --suite all`` prints the same checks.
 """
 
+import itertools
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -69,3 +72,51 @@ class TestExactPropertyLines:
 
         monkeypatch.setattr(verify, "Hypergraph", MissingEdge)
         assert not property_line("K_n^3")
+
+
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Exact rank by Gaussian elimination over the rationals."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestDegree3Lattice:
+    """The lattice behind the exact K_n^3 and gamma(1) triangle lines."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_standard_simplex_lattice_is_unisolvent(self, n):
+        corners = [[int(i == j) for j in range(n)] for i in range(n)]
+        lattice = verify._degree3_lattice(corners)
+        assert len(lattice) == math.comb(n + 2, 3)
+        assert len({tuple(x) for x in lattice}) == len(lattice)
+        for x in lattice:
+            assert sum(x) == 1
+            assert all(c >= 0 and (3 * c).denominator == 1 for c in x)
+        # on sum(x) = 1 every cubic is a homogeneous cubic, so the lattice fixes
+        # a cubic exactly when the cubic monomials are independent on it
+        monomials = list(itertools.combinations_with_replacement(range(n), 3))
+        matrix = [[math.prod(x[i] for i in m) for m in monomials] for x in lattice]
+        assert _rank(matrix) == len(monomials) == len(lattice)
+
+    def test_triangle_lattice_has_ten_points_on_its_face(self):
+        third, zero = Fraction(1, 3), Fraction(0)
+        corners = [
+            (third, zero, third, zero, zero, third),
+            (zero, third, third, zero, zero, third),
+            (zero, third, zero, third, third, zero),
+        ]
+        lattice = verify._degree3_lattice(corners)
+        assert len({tuple(x) for x in lattice}) == 10
+        assert all(sum(x) == 1 for x in lattice)
+        assert all(list(corner) in lattice for corner in corners)
