@@ -555,7 +555,7 @@ def maximize(
 
     exact = None
     snap_denominator = None
-    snapped = _snap(merged, value, best_x)
+    snapped, candidates, checked = _snap(merged, value, best_x)
     if snapped is None and Fraction(value).limit_denominator(SNAP_DENOMINATOR) == grid.value:
         # the grid point itself attains the snapped value exactly
         snapped = (grid.value, grid.point.as_fractions())
@@ -566,7 +566,8 @@ def maximize(
         maximizer = [float(v) for v in point]
         snap_denominator = math.lcm(*(c.denominator for c in point))
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("snap: %s, denominator %s, value from %s", exact, snap_denominator, phase)
+        _log.debug("snap: %s, denominator %s, value from %s, %d candidates, %d checked exactly",
+                   exact, snap_denominator, phase, candidates, checked)
     lifted = [0.0] * m
     for i, c in zip(keep, maximizer):
         lifted[i] = c
@@ -608,7 +609,7 @@ def _merge_twins(poly: MultilinearPoly, keep: Sequence[int]) -> MultilinearPoly:
 
 def _snap(
     poly: MultilinearPoly, value: float, x: np.ndarray
-) -> Optional[tuple[Fraction, tuple[Fraction, ...]]]:
+) -> tuple[Optional[tuple[Fraction, tuple[Fraction, ...]]], int, int]:
     """Snap value and maximizer to small-denominator rationals and re-verify.
 
     Succeeds only when the exact evaluation at a snapped point reproduces
@@ -616,28 +617,47 @@ def _snap(
     reported exact value is attained.  Candidate points: roundings to each
     common denominator up to 120 (catches structured optima even when a
     degenerate direction left individual coordinates unstructured), then a
-    coordinatewise best-rational rounding.
+    coordinatewise best-rational rounding.  With x >= 0, as every ascent
+    row is, every candidate lies on the simplex, where a float value is
+    within half the kernel's ``float_slack`` of the exact one; so each is
+    scored in float first, and one farther than that slack from the snapped
+    value cannot reproduce it and is not evaluated exactly.  Returns (the
+    snapped value and point, or None; candidates scored; candidates
+    evaluated exactly).
     """
     target = Fraction(value).limit_denominator(SNAP_DENOMINATOR)
     if abs(float(target) - value) > SNAP_WINDOW:
-        return None
-    for denom in range(1, 121):
-        numerators = [round(float(c) * denom) for c in x]
-        if sum(numerators) != denom or any(k < 0 for k in numerators):
-            continue
-        coords = [Fraction(k, denom) for k in numerators]
-        if max(abs(float(c) - float(v)) for c, v in zip(coords, x)) > 0.5 / denom + 1e-9:
-            continue
+        return None, 0, 0
+    kernel = poly.kernel
+
+    def near(points: np.ndarray) -> np.ndarray:
+        return np.abs(kernel.values(points) - float(target)) <= kernel.float_slack
+
+    # row d - 1 rounds x to denominator d, as round(x_i * d) / d
+    denoms = np.arange(1, 121)
+    numerators = np.rint(x * denoms[:, None])
+    points = numerators / denoms[:, None]
+    rows = np.flatnonzero(
+        (numerators.sum(axis=1) == denoms)
+        & (numerators >= 0).all(axis=1)
+        & (np.abs(points - x).max(axis=1) <= 0.5 / denoms + 1e-9)
+    )
+    checked = 0
+    for row in rows[near(points[rows])]:
+        coords = [Fraction(int(k), int(denoms[row])) for k in numerators[row]]
+        checked += 1
         if poly.evaluate(coords) == target:
-            return target, tuple(coords)
+            return (target, tuple(coords)), rows.size, checked
     coords = [Fraction(float(c)).limit_denominator(SNAP_DENOMINATOR) for c in x]
     total = sum(coords)
     if total <= 0:
-        return None
+        return None, rows.size, checked
     coords = [c / total for c in coords]
-    if poly.evaluate(coords) != target:
-        return None
-    return target, tuple(coords)
+    if near(np.array([[float(c) for c in coords]]))[0]:
+        checked += 1
+        if poly.evaluate(coords) == target:
+            return (target, tuple(coords)), rows.size + 1, checked
+    return None, rows.size + 1, checked
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,19 @@ def _term_sums(block: np.ndarray, subsets, coefs, dtype=None) -> np.ndarray:
     return out
 
 
+def _products(block: np.ndarray, others: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """coefs[k] * prod(block[:, others[k, j]] for j, left to right) at every
+    row, one gathered column at a time (the bits of ``np.prod`` on the
+    gathered (rows, terms, columns) array, then times the coefficients)."""
+    if not others.shape[1]:
+        return np.broadcast_to(coefs, (block.shape[0], coefs.size))
+    prod = block[:, others[:, 0]]
+    for j in range(1, others.shape[1]):
+        prod *= block[:, others[:, j]]
+    prod *= coefs
+    return prod
+
+
 class PolyKernel:
     """A polynomial compiled once into numpy index arrays.
 
@@ -390,7 +403,9 @@ class PolyKernel:
     :meth:`hessians` read one derivative table per order (1 or 2), built on
     first use and kept: for every (term, subset of that many positions), in
     degree-then-``combinations`` order, the product of the term's other
-    variables, added in that order with one ``bincount``.  A single point
+    variables, multiplied in one gathered column at a time and added in
+    that order with one ``bincount`` (its bins are kept too, grown to the
+    largest chunk seen; fewer rows use a prefix).  A single point
     is a one-row batch, and a row's result does not depend on the batch
     around it.  Exact:
     :meth:`batch` scores integer rows one term column at a time, in int64
@@ -418,7 +433,13 @@ class PolyKernel:
         for _, items in sorted(by_degree.items()):
             idx = np.array([s for s, _ in items], dtype=np.intp)
             self.groups.append((idx, np.array([c for _, c in items])))
+        # a float value at a point of [0, 1]^m is within half of this of the
+        # exact value (see scan), so a farther one rules out equality
+        magnitude = sum(abs(c) for c in self.float_coefs)
+        self.float_slack = 1e-9 + (len(self.coefs) + 2 * self.degree + 2) * 2.0**-52 * magnitude
         self._derivative_tables: dict[int, tuple] = {}
+        # per order, the bincount bins of the largest chunk seen so far
+        self._derivative_bins: dict[int, np.ndarray] = {}
         # scan's factoring: (prefix part T, [(tail part shifted to 0, term)]) per T
         split = self.m // 2
         by_head: dict[Term, list] = {}
@@ -477,12 +498,14 @@ class PolyKernel:
         for rows in self._chunks(X.shape[0], width):
             block = X[rows]
             n = block.shape[0]
-            terms = np.concatenate(
-                [coefs * np.prod(block[:, others], axis=2) for others, coefs in groups], axis=1
-            )
-            # row k's targets land in bins k*size .. k*size + size - 1, added in table order
-            bins = (np.arange(n)[:, None] * size + targets).ravel()
-            out[rows] = np.bincount(bins, terms.ravel(), n * size).reshape(n, size)
+            terms = np.concatenate([_products(block, *group) for group in groups], axis=1)
+            # row k's targets land in bins k*size .. k*size + size - 1, added
+            # in table order; the bins of n rows are a prefix of those of more
+            bins = self._derivative_bins.get(order)
+            if bins is None or bins.size < terms.size:
+                bins = (np.arange(n)[:, None] * size + targets).ravel()
+                self._derivative_bins[order] = bins
+            out[rows] = np.bincount(bins[: terms.size], terms.ravel(), n * size).reshape(n, size)
         return out
 
     def _derivative_table(self, order: int):
@@ -595,7 +618,7 @@ class PolyKernel:
         sum |c| * total**deg over the scaled coefficients c.  Below 2**53 the product runs
         in float64 (BLAS), exact on the integer factors; below 2**62, in int64.
         Otherwise the same product runs in float on k / total, and the rows
-        within ``slack`` of the running float maximum are rescored with exact
+        within :attr:`float_slack` of the running float maximum are rescored with exact
         Python integers; the running float maximum only rises, so every exact
         maximizer is kept.  Each term reaches a float score through at most one
         coefficient rounding, deg coordinate roundings, deg product roundings
@@ -612,8 +635,6 @@ class PolyKernel:
         coefs, scale = self.integer_coefficients(total)
         in_float = not self.fits_int64(coefs, total)
         dtype = np.float64 if in_float or self._score_bound(coefs, total) < 2**53 else np.int64
-        magnitude = sum(abs(c) for c in self.float_coefs)
-        slack = 1e-9 + (len(coefs) + 2 * self.degree + 2) * 2.0**-52 * magnitude
         unit = max(total, 1)
         split = self.m // 2
         prefixes, prefix_at = _grid.compositions(total, split)
@@ -645,7 +666,7 @@ class PolyKernel:
                         value = int(scores[i, j])
                     else:
                         best_float = max(best_float, float(scores.max()))
-                        heads, rests = np.nonzero(scores >= best_float - slack)
+                        heads, rests = np.nonzero(scores >= best_float - self.float_slack)
                         if not len(heads):
                             continue
                         rows = np.hstack([a[start + heads], b[t1 + rests]]).astype(object)

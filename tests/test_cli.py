@@ -8,6 +8,8 @@ import pytest
 from turan import Hypergraph, MultilinearPoly, gamma, maximize, read_hypergraph
 from turan.cli import main
 
+from test_lagrangian import RANDOM_7_DOUBLED
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -98,6 +100,35 @@ GOLDEN_LAGRANGIAN = {
     "phase": "grid",
     "snap_denominator": 4,
     "twins_merged": 0
+  }
+}
+"""),
+    # irrational optimum: no snap, the polish supplies the value
+    "random-7-doubled": (RANDOM_7_DOUBLED, """\
+{
+  "value": 0.07347921958194821,
+  "exact": null,
+  "maximizer": [
+    0.0,
+    0.0400221546340891,
+    0.18272285250161877,
+    0.16391608306647767,
+    0.17934370859092127,
+    0.2300569635063262,
+    0.20393823770056696,
+    0.0
+  ],
+  "kkt_residual": 5.551115123125783e-17,
+  "grid_lower_bound": 0.07252186588921283,
+  "stats": {
+    "grid_resolution": 14,
+    "grid_points": 38760,
+    "iterations": 75,
+    "stop_reason": "plateau",
+    "starts_converged": 6,
+    "phase": "polish",
+    "snap_denominator": null,
+    "twins_merged": 1
   }
 }
 """),

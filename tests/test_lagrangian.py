@@ -3,6 +3,7 @@
 import copy
 import itertools
 import logging
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -43,7 +44,7 @@ from turan.lagrangian import (
 )
 from turan.verify import permute_point
 
-from test_polynomial import plant_twin
+from test_polynomial import SIGNED_POLYS, plant_twin, random_signed_poly
 
 K4 = Hypergraph.complete(3, 4)
 P_K4 = MultilinearPoly.from_hypergraph(K4)
@@ -202,22 +203,6 @@ class TestMaximize:
                 MultilinearPoly.from_hypergraph(double_vertex(base, w)), starts=30
             )
             assert abs(a.value - b.value) <= 2e-9
-
-
-def random_signed_poly(rng, m):
-    """Rational coefficients in [-3, 3] on random terms of degree 0 to 4."""
-    terms = {}
-    for _ in range(int(rng.integers(3, 12))):
-        size = int(rng.integers(0, min(m, 4) + 1))
-        subset = tuple(sorted(int(i) for i in rng.choice(m, size, replace=False)))
-        terms[subset] = frac(int(rng.integers(-36, 37)), 12)
-    return MultilinearPoly(m, terms)
-
-
-SIGNED_POLYS = [
-    random_signed_poly(np.random.default_rng(seed), m)
-    for seed, m in enumerate((3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7))
-]
 
 
 class TestGrowthAscent:
@@ -426,6 +411,94 @@ class TestPolish:
         for head in ("twins: 8 variables in 7 classes", "grid: resolution", "polish at step 25",
                      "ascent: 75 steps, stopped on plateau", "snap: None"):
             assert any(m.startswith(head) for m in messages), head
+        (snap,) = [m for m in messages if m.startswith("snap: ")]
+        assert snap.endswith("candidates, 0 checked exactly")
+
+
+def reference_snap(poly, value, x):
+    """Test-only reference: the snap without the float filter, every
+    candidate evaluated exactly, in order."""
+    target = Fraction(value).limit_denominator(lagrangian.SNAP_DENOMINATOR)
+    if abs(float(target) - value) > lagrangian.SNAP_WINDOW:
+        return None
+    for denom in range(1, 121):
+        numerators = [round(float(c) * denom) for c in x]
+        if sum(numerators) != denom or any(k < 0 for k in numerators):
+            continue
+        coords = [Fraction(k, denom) for k in numerators]
+        if max(abs(float(c) - float(v)) for c, v in zip(coords, x)) > 0.5 / denom + 1e-9:
+            continue
+        if poly.evaluate(coords) == target:
+            return target, tuple(coords)
+    coords = [Fraction(float(c)).limit_denominator(lagrangian.SNAP_DENOMINATOR) for c in x]
+    total = sum(coords)
+    if total <= 0:
+        return None
+    coords = [c / total for c in coords]
+    if poly.evaluate(coords) != target:
+        return None
+    return target, tuple(coords)
+
+
+def snap_inputs(poly):
+    """The (merged polynomial, value, point) that maximize passes to _snap."""
+    calls = []
+    real = lagrangian._snap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lagrangian, "_snap", lambda *args: calls.append(args) or real(*args))
+        maximize(poly)
+    (args,) = calls
+    return args
+
+
+P_RANDOM_7_DOUBLED = MultilinearPoly.from_hypergraph(RANDOM_7_DOUBLED)
+
+
+class TestSnap:
+    @pytest.mark.parametrize(
+        "graph",
+        [gamma(t) for t in (1, 2, 3, 4)] + [crossed_blowup(tight_cycle(5), (3, 4))],
+        ids=[f"gamma({t})" for t in (1, 2, 3, 4)] + ["crossed-C5"],
+    )
+    def test_matches_reference_above_denominator_1(self, graph):
+        args = snap_inputs(MultilinearPoly.from_hypergraph(graph))
+        snapped, candidates, checked = lagrangian._snap(*args)
+        assert snapped == reference_snap(*args)
+        assert math.lcm(*(c.denominator for c in snapped[1])) > 1
+        assert 1 <= checked <= candidates
+
+    @pytest.mark.parametrize(
+        "poly", [P_RANDOM_7_DOUBLED] + SIGNED_POLYS, ids=lambda p: f"m{p.m}t{len(p.terms)}"
+    )
+    def test_matches_reference(self, poly):
+        merged, value, x = snap_inputs(poly)
+        # and off the maximizer: a coordinate moved, the value moved within the window
+        moved = x.copy()
+        moved[np.argmax(moved)] += 3e-3
+        for args in ((merged, value, x), (merged, value, moved / moved.sum()),
+                     (merged, value + 5e-8, x), (merged, value - 2e-3, x)):
+            assert lagrangian._snap(*args)[0] == reference_snap(*args)
+
+    def test_coordinatewise_fallback(self):
+        # denominators 7, 11, 13 and 1001: no common one up to 120 reproduces 150/1001
+        poly = MultilinearPoly(4, {(0,): 1, (1, 2): 1})
+        coords = [Fraction(1, 7), Fraction(1, 11), Fraction(1, 13), Fraction(690, 1001)]
+        x = np.array([float(c) for c in coords])
+        args = (poly, float(poly.evaluate(coords)), x)
+        snapped, candidates, checked = lagrangian._snap(*args)
+        assert snapped == reference_snap(*args) == (Fraction(150, 1001), tuple(coords))
+        assert checked == 1 and candidates > 1
+
+    def test_irrational_optimum_evaluates_nothing(self):
+        args = snap_inputs(P_RANDOM_7_DOUBLED)
+        calls = []
+        real = MultilinearPoly.evaluate
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MultilinearPoly, "evaluate", lambda p, x: calls.append(x) or real(p, x))
+            snapped, candidates, checked = lagrangian._snap(*args)
+            assert snapped is None and candidates > 0 and checked == 0 and not calls
+            # unfiltered, every candidate is evaluated exactly
+            assert reference_snap(*args) is None and len(calls) == candidates
 
 
 def gamma_lagrangian_for(graph):

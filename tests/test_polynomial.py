@@ -316,6 +316,22 @@ def plant_twin(poly, v):
     return MultilinearPoly(poly.m + 1, terms)
 
 
+def random_signed_poly(rng, m):
+    """Rational coefficients in [-3, 3] on random terms of degree 0 to 4."""
+    terms = {}
+    for _ in range(int(rng.integers(3, 12))):
+        size = int(rng.integers(0, min(m, 4) + 1))
+        subset = tuple(sorted(int(i) for i in rng.choice(m, size, replace=False)))
+        terms[subset] = Fraction(int(rng.integers(-36, 37)), 12)
+    return MultilinearPoly(m, terms)
+
+
+SIGNED_POLYS = [
+    random_signed_poly(np.random.default_rng(seed), m)
+    for seed, m in enumerate((3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7))
+]
+
+
 class TestTwinClasses:
     @staticmethod
     def twins(poly, i, j):
@@ -453,6 +469,73 @@ class TestKernelDifferential:
                 best_value, best_row = candidate, row
         assert value == best_value
         assert point.coords == tuple(Fraction(k, resolution) for k in best_row)
+
+
+def reference_derivatives(kernel, X, order):
+    """Test-only reference: the derivative kernel as one np.prod over the
+    gathered (rows, terms, columns) array, times the coefficients, with
+    fresh bincount bins, over all rows at once."""
+    groups, targets, _ = kernel._derivative_table(order)
+    size, n = kernel.m**order, X.shape[0]
+    if targets is None:
+        return np.zeros((n, size))
+    terms = np.concatenate(
+        [coefs * np.prod(X[:, others], axis=2) for others, coefs in groups], axis=1
+    )
+    bins = (np.arange(n)[:, None] * size + targets).ravel()
+    return np.bincount(bins, terms.ravel(), n * size).reshape(n, size)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+EDGE_POLYS = [
+    MultilinearPoly.from_hypergraph(graph)
+    for graph in (
+        Hypergraph.complete(2, 5),
+        Hypergraph(2, 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]),
+        gamma(3),
+        tight_cycle(5),
+        Hypergraph.complete(4, 7),
+        Hypergraph.complete(5, 8),
+    )
+]
+
+
+class TestDerivativeBits:
+    """Column products and kept bins give the reference's bits exactly."""
+
+    @pytest.mark.parametrize(
+        "poly", EDGE_POLYS + SIGNED_POLYS, ids=lambda p: f"r{p.degree()}m{p.m}t{len(p.terms)}"
+    )
+    def test_batches_grow_then_shrink(self, poly):
+        kernel = PolyKernel(poly)
+        rng = np.random.default_rng(poly.m)
+        # odd sizes; each larger batch regrows the bins, each smaller one reads a prefix
+        for rows in (1, 3, 7, 40, 81, 13, 3, 1):
+            for X in (rng.dirichlet(np.ones(poly.m), size=rows),
+                      rng.uniform(-1.5, 1.5, size=(rows, poly.m))):
+                upper = reference_derivatives(kernel, X, 2).reshape(rows, poly.m, poly.m)
+                assert_same_bits(kernel.gradients(X), reference_derivatives(kernel, X, 1))
+                assert_same_bits(kernel.hessians(X), upper + upper.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("poly", [EDGE_POLYS[2], EDGE_POLYS[5], SIGNED_POLYS[-1]],
+                             ids=["gamma(3)", "K8^5", "signed"])
+    def test_batch_straddles_chunks(self, poly):
+        kernel = PolyKernel(poly)
+        X = np.random.default_rng(5).dirichlet(np.ones(poly.m), size=23)
+        for order in (1, 2):
+            _, targets, width = kernel._derivative_table(order)
+            with pytest.MonkeyPatch.context() as patch:
+                # chunks of 4, 4, ..., 4, 3 rows: the last reads a prefix of the bins
+                patch.setattr(polynomial, "_CHUNK_ELEMENTS", 4 * width)
+                got = kernel._derivatives(X, order)
+            assert kernel._derivative_bins[order].size == 4 * targets.size
+            assert_same_bits(got, reference_derivatives(kernel, X, order))
+            # the bins kept for 4 rows regrow for a batch of 23 in one chunk
+            assert_same_bits(kernel._derivatives(X, order), reference_derivatives(kernel, X, order))
 
 
 def brute_force_scan(poly, total):
