@@ -86,7 +86,7 @@ class Hypergraph(Frozen):
     rejected rather than silently deduplicated.
     """
 
-    __slots__ = ("r", "n", "edges", "_edge_set", "_edge_masks")
+    __slots__ = ("r", "n", "edges", "_edge_masks")
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
         # lazy, so r and n are checked before any edge
@@ -118,16 +118,6 @@ class Hypergraph(Frozen):
         graph = cls.__new__(cls)
         graph._fill(r, n, edges)
         return graph
-
-    @property
-    def edge_set(self) -> frozenset:
-        """The edges as a frozenset, built on first use and kept."""
-        try:
-            return self._edge_set
-        except AttributeError:
-            edge_set = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set", edge_set)
-            return edge_set
 
     @property
     def edge_masks(self) -> frozenset:

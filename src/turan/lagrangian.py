@@ -665,50 +665,31 @@ def _snap(
 
 
 def symmetrize_point(
-    poly: MultilinearPoly,
-    i: int,
-    j: int,
-    x: SimplexPoint,
-    debug: bool = False,
-    rng_seed: int = 0,
+    poly: MultilinearPoly, i: int, j: int, x: SimplexPoint
 ) -> SimplexPoint:
-    """Replace coordinates i and j of ``x`` by their average.
+    """Replace coordinates i and j of the exact point ``x`` by their average.
 
-    Requires ``poly`` symmetric in (i, j).  When the cross coefficient p3 is
-    nonnegative on the simplex (caller asserts; sampled when ``debug``),
-    the value cannot decrease; in exact mode that monotonicity is verified
-    and its failure raises a precondition error.
+    Requires ``poly`` symmetric in (i, j).  The value cannot decrease where
+    the cross coefficient p3 is nonnegative; both values are computed
+    exactly, and a decrease raises a precondition error.
     """
     if len(x) != poly.m:
         raise InvalidArgumentError("point dimension does not match polynomial")
+    if not x.exact:
+        raise PreconditionError("pair averaging needs an exact point")
     witness = poly.asymmetry_witness(i, j)
     if witness is not None:
         raise AsymmetryError(
             f"polynomial is not symmetric in X_{i}, X_{j}; witness term {witness}",
             witness=witness,
         )
-    if debug:
-        dec = poly.symmetric_decompose(i, j)
-        rng = np.random.default_rng(rng_seed)
-        for _ in range(50):
-            probe = rng.dirichlet(np.ones(poly.m))
-            if dec.p3.evaluate_float(probe) < -1e-12:
-                raise PreconditionError(
-                    "cross coefficient p3 is negative on the simplex"
-                )
-    if x.exact:
-        coords = list(x.as_fractions())
-        avg = (coords[i] + coords[j]) / 2
-        coords[i] = coords[j] = avg
-        result = SimplexPoint(coords)
-        if poly.evaluate(result.coords) < poly.evaluate(x.coords):
-            raise PreconditionError(
-                "averaging decreased the value; p3 is not nonnegative here"
-            )
-        return result
     coords = list(x.coords)
-    avg = (coords[i] + coords[j]) / 2.0
-    coords[i] = coords[j] = avg
+    coords[i] = coords[j] = (coords[i] + coords[j]) / 2
+    before, after = poly.kernel.rational_values([x.coords, coords])
+    if after < before:
+        raise PreconditionError(
+            "averaging decreased the value; p3 is not nonnegative here"
+        )
     return SimplexPoint(coords)
 
 
@@ -734,11 +715,11 @@ def predicted_segment(
 ) -> tuple[SimplexPoint, SimplexPoint]:
     """Endpoints of the optimal segment created by crossing a symmetric pair.
 
-    For a 3-graph with symmetric pair (v1, v2) of codegree >= 2 and a
-    maximizer z of its edge polynomial, the crossed graph's polynomial is
-    constant on the segment between the two returned points of the larger
-    simplex.  Clone coordinates are appended (v1' at index n, v2' at n+1),
-    matching both the crossed-blowup vertex order and
+    For a 3-graph with symmetric pair (v1, v2) of codegree >= 2 and an
+    exact maximizer z of its edge polynomial, the crossed graph's polynomial
+    is constant on the segment between the two returned points of the
+    larger simplex.  Clone coordinates are appended (v1' at index n, v2' at
+    n+1), matching both the crossed-blowup vertex order and
     :meth:`MultilinearPoly.hat`.  Endpoint one puts the averaged weight on
     (v1, v2'), endpoint two on (v1', v2).
     """
@@ -751,18 +732,21 @@ def predicted_segment(
         raise PreconditionError(f"pair ({v1}, {v2}) needs codegree >= 2")
     if len(z) != graph.n:
         raise InvalidArgumentError("maximizer dimension does not match the graph")
+    if not z.exact:
+        raise PreconditionError("segment prediction needs an exact maximizer")
     poly = MultilinearPoly.from_hypergraph(graph)
-    if z.exact:
-        _check_first_order_maximum(poly, z)
-        averaged = symmetrize_point(poly, v1, v2, z)
-        if poly.evaluate(z.coords) != poly.evaluate(averaged.coords):
-            raise PreconditionError(
-                "z is not a maximizer: averaging the pair changes the value"
-            )
-        zbar = (z.coords[v1] + z.coords[v2]) / 2
-    else:
-        zbar = (z.coords[v1] + z.coords[v2]) / 2.0
-    zero = Fraction(0) if z.exact else 0.0
+    _check_first_order_maximum(poly, z)
+    zbar = (z.coords[v1] + z.coords[v2]) / 2
+    averaged = list(z.coords)
+    averaged[v1] = averaged[v2] = zbar
+    value, averaged_value = poly.kernel.rational_values([z.coords, averaged])
+    # p3 of an edge polynomial is a sum of variables, so averaging never
+    # lowers the value; a change means z is not a maximizer
+    if value != averaged_value:
+        raise PreconditionError(
+            "z is not a maximizer: averaging the pair changes the value"
+        )
+    zero = Fraction(0)
     first = list(z.coords)
     second = list(z.coords)
     first[v1], first[v2] = zbar, zero

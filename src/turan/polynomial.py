@@ -40,8 +40,6 @@ def _as_fraction(value) -> Fraction:
         )
     if isinstance(value, Rational):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise InvalidArgumentError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -82,10 +80,6 @@ class MultilinearPoly(Frozen):
     @classmethod
     def variable(cls, m: int, i: int) -> "MultilinearPoly":
         return cls(m, {(i,): 1})
-
-    @classmethod
-    def monomial(cls, m: int, subset: Sequence[int], coef=1) -> "MultilinearPoly":
-        return cls(m, {tuple(subset): coef})
 
     @classmethod
     def from_hypergraph(cls, graph) -> "MultilinearPoly":

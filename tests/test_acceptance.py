@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from turan import verify
-from turan.constructions import double_vertex
+from turan.constructions import blowup_edge_count, double_vertex
 from turan.hypergraph import Hypergraph
 from turan.verify import CHECKS
 
@@ -52,7 +52,7 @@ def property_line(prefix: str) -> bool:
 class TestExactPropertyLines:
     """The exact identity lines fail when the construction they prove is wrong.
 
-    Unpatched, both pass: ``test_criterion[property-suites]`` runs them.
+    Unpatched, all pass: ``test_criterion[property-suites]`` runs them.
     """
 
     def test_doubling_fails_when_the_copies_share_an_edge(self, monkeypatch):
@@ -72,6 +72,10 @@ class TestExactPropertyLines:
 
         monkeypatch.setattr(verify, "Hypergraph", MissingEdge)
         assert not property_line("K_n^3")
+
+    def test_blowup_identity_fails_with_one_extra_edge(self, monkeypatch):
+        monkeypatch.setattr(verify, "blowup_edge_count", lambda spec: blowup_edge_count(spec) + 1)
+        assert not property_line("blowup counts are")
 
 
 def _rank(rows: list[list[Fraction]]) -> int:

@@ -350,6 +350,15 @@ class TestErrorPaths:
         assert code == 1
         assert json.loads(err)["error"] == "precondition"
 
+    def test_bad_sizes(self, tmp_path, capsys):
+        base = write_graph(tmp_path, "k4.hg", Hypergraph.complete(3, 4))
+        code, out, err = run(capsys, "blowup", "--graph", base, "--sizes", "1,x")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "invalid-argument",
+            "message": "--sizes expects comma-separated integers, got '1,x'",
+        }
+
     def test_budget_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TURAN_BUDGET", "10")
         base = write_graph(tmp_path, "k4.hg", Hypergraph.complete(3, 4))

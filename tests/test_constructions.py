@@ -201,7 +201,9 @@ class TestKCrossedBlowup:
             assert set(got.link(u).edges) == expect
 
     def test_k2_matches_crossed_blowup(self):
-        for base, pair in ((K4, (2, 3)), (TWO_EDGE_BASE, (2, 3))):
+        # the third base has an edge, (2, 3, 4), that avoids the pair
+        avoiding = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+        for base, pair in ((K4, (2, 3)), (TWO_EDGE_BASE, (2, 3)), (avoiding, (0, 1))):
             a = k_crossed_blowup(base, pair, 2)
             b = crossed_blowup(base, pair)
             assert are_isomorphic(a, b) is not None
@@ -463,9 +465,10 @@ class TestFeasible:
         assert point.shadow_density == Fraction(len(h.shadow().edges), comb(h.n, 2))
 
     def test_convergence_at_480(self):
-        for alpha in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
-            point = feasible_point(2, alpha, 480)
-            limit = feasible_limit(2, alpha)
+        # t = 1 has its own profile: a two-vertex head of weight 1/6 each
+        for t, alpha in itertools.product((1, 2), (Fraction(0), Fraction(1, 4), Fraction(1, 2))):
+            point = feasible_point(t, alpha, 480)
+            limit = feasible_limit(t, alpha)
             assert abs(point.edge_density - limit.edge_density) <= Fraction(2, 480)
             assert abs(point.shadow_density - limit.shadow_density) <= Fraction(4, 480)
 

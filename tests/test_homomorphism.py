@@ -370,7 +370,8 @@ def brute_force_isomorphic(h1, h2):
 def swap_one_edge(rng, graph):
     """Replace one edge by one non-edge, keeping the edge count."""
     universe = list(itertools.combinations(range(graph.n), graph.r))
-    absent = [e for e in universe if e not in graph.edge_set]
+    edges = frozenset(graph.edges)
+    absent = [e for e in universe if e not in edges]
     if not graph.edges or not absent:
         return graph
     drop = graph.edges[int(rng.integers(len(graph.edges)))]
@@ -409,7 +410,7 @@ class TestIsomorphism:
             return [tuple(sorted((i + k) % n + offset for k in range(3))) for i in range(n)]
 
         def complement(h):
-            return Hypergraph(3, h.n, set(itertools.combinations(range(h.n), 3)) - h.edge_set)
+            return Hypergraph(3, h.n, set(itertools.combinations(range(h.n), 3)) - set(h.edges))
 
         one = Hypergraph(3, 11, cycle(11))
         two = Hypergraph(3, 11, cycle(5) + cycle(6, 5))
@@ -427,12 +428,13 @@ class TestIsomorphism:
         for _ in range(20):
             source = random_graph(rng, r, int(rng.integers(0, 5)), 0.5)
             target = random_graph(rng, r, int(rng.integers(0, 6)), 0.5)
+            source_edges, target_edges = frozenset(source.edges), frozenset(target.edges)
             want = [
                 images
                 for images in itertools.permutations(range(target.n), source.n)
                 if all(
-                    (e in source.edge_set)
-                    == (tuple(sorted(images[v] for v in e)) in target.edge_set)
+                    (e in source_edges)
+                    == (tuple(sorted(images[v] for v in e)) in target_edges)
                     for e in itertools.combinations(range(source.n), r)
                 )
             ]

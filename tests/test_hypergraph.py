@@ -21,6 +21,8 @@ from turan import (
     are_isomorphic,
     blowup,
     gamma,
+    read_hypergraph,
+    write_hypergraph,
 )
 from turan import hypergraph
 
@@ -258,6 +260,13 @@ class TestTextFormat:
         text = gamma(2).to_text()
         assert Hypergraph.from_text(text) == gamma(2)
         assert Hypergraph.from_text(text).to_text() == text
+
+    def test_write_read_round_trip(self, tmp_path):
+        path = tmp_path / "g.hg"
+        for graph in (gamma(3), Hypergraph.empty(2, 3), Hypergraph(4, 6, [(0, 2, 3, 5)])):
+            write_hypergraph(graph, path)
+            assert path.read_text(encoding="utf-8") == graph.to_text()
+            assert read_hypergraph(path) == graph
 
     def test_comments_and_blanks(self):
         text = "# header comment\n3 4\n\n0 1 2\n# inline comment line\n0 1 3\n"
@@ -608,14 +617,6 @@ class TestCopyAndPickle:
             assert type(clone) is Hypergraph
             assert clone == graph and hash(clone) == hash(graph)
             assert (clone.r, clone.n, clone.edges) == (graph.r, graph.n, graph.edges)
-
-    def test_edge_set_cached_and_not_carried(self):
-        graph = gamma(3)
-        assert graph.edge_set == frozenset(graph.edges)
-        assert graph.edge_set is graph.edge_set
-        for clone in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
-            assert not hasattr(clone, "_edge_set")
-            assert clone.edge_set == graph.edge_set
 
     def test_edge_masks_cached_and_not_carried(self):
         graph = gamma(3)

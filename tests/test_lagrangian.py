@@ -533,9 +533,8 @@ class TestSymmetrizePoint:
             symmetrize_point(p, 3, 4, SimplexPoint.uniform(5))
 
     def test_float_mode(self):
-        out = symmetrize_point(P_K4, 0, 1, SimplexPoint([0.3, 0.2, 0.25, 0.25]))
-        assert not out.exact
-        assert out.coords[0] == pytest.approx(0.25)
+        with pytest.raises(PreconditionError, match="exact point"):
+            symmetrize_point(P_K4, 0, 1, SimplexPoint([0.3, 0.2, 0.25, 0.25]))
 
 
 class TestPredictedSegment:
@@ -565,6 +564,10 @@ class TestPredictedSegment:
         z = SimplexPoint([frac(1, 2), frac(1, 2), frac(0), frac(0)])
         with pytest.raises(PreconditionError):
             predicted_segment(K4, (2, 3), z)
+
+    def test_rejects_float_maximizer(self):
+        with pytest.raises(PreconditionError, match="exact maximizer"):
+            predicted_segment(K4, (2, 3), SimplexPoint([0.25] * 4))
 
     def test_first_order_check_matches_symbolic_partials(self):
         # q = p + sum a_k x_k is stationary at z for a chosen a, then one a_k is
@@ -741,6 +744,22 @@ class TestFitWeightProfile:
     def test_dimension_checked(self):
         with pytest.raises(InvalidArgumentError):
             fit_weight_profile(2, [0.5, 0.5], 1e-6)
+
+    def test_keeps_the_better_of_alpha_and_its_mirror(self):
+        rng = np.random.default_rng(11)
+        mirrored = 0
+        for _ in range(200):
+            x = rng.dirichlet(np.ones(6))
+            fit = fit_weight_profile(2, x, 1.0)
+
+            def deviation(alpha):
+                return float(np.max(np.abs(x - profile_template(2, alpha))))
+
+            assert fit.max_deviation == deviation(fit.alpha)
+            assert fit.max_deviation <= deviation(1 - fit.alpha)
+            least_squares = min(1.0, max(0.0, 0.5 + x[2] + x[5] - x[3] - x[4]))
+            mirrored += deviation(least_squares) > fit.max_deviation
+        assert mirrored > 0
 
     def test_template_needs_t_at_least_2(self):
         from turan.verify import sample_near_optimal
