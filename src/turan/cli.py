@@ -266,11 +266,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        checks = [
-            (criterion, r, seconds)
-            for criterion, results, seconds in run_criteria(args.suite, seed=args.seed)
-            for r in results
-        ]
+        checks = run_criteria(args.suite, seed=args.seed)
         if args.format == "json":
             rows = [
                 {"criterion": c, "name": r.name, "passed": r.passed, "detail": r.detail,

@@ -100,12 +100,35 @@ def blowup(spec: BlowupSpec, budget: int | None = None) -> Hypergraph:
     if count > cap:
         raise BudgetExceededError(f"blowup would have {count} edges, budget is {cap}")
     offsets = [0, *itertools.accumulate(spec.part_sizes)]
-    # base edges are sorted and parts are ascending blocks, so every product
-    # tuple is already a sorted edge
-    edges = []
-    for edge in spec.base.edges:
-        edges.extend(itertools.product(*[range(offsets[v], offsets[v + 1]) for v in edge]))
-    return Hypergraph._from_canonical(spec.base.r, offsets[-1], edges)
+    starts = np.array(offsets, np.min_scalar_type(offsets[-1]))
+    # without the base edges that meet an empty part, no array outgrows the result
+    return Hypergraph._from_rows(spec.base.r, offsets[-1], _product_rows(_live_rows(spec), starts))
+
+
+def _live_rows(spec: BlowupSpec) -> np.ndarray:
+    """The base rows whose parts are all nonempty."""
+    return spec.base.rows[(np.asarray(spec.part_sizes)[spec.base.rows] > 0).all(axis=1)]
+
+
+def _product_rows(base: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The blowup of the sorted rows ``base``, part v at ``starts[v]:starts[v + 1]``,
+    in lexicographic order: each first vertex's part in turn, each of its
+    vertices followed by the rows that the rest of its edges blow up to."""
+    r = base.shape[1]
+    if r == 1:  # the parts of the distinct vertices left, in order
+        parts = [np.arange(starts[v], starts[v + 1], dtype=starts.dtype) for v in base[:, 0].tolist()]
+        return np.concatenate([np.zeros(0, starts.dtype), *parts])[:, None]
+    out = [np.zeros((0, r), starts.dtype)]
+    firsts = base[:, 0].tolist()
+    bounds = [i for i, v in enumerate(firsts) if not i or v != firsts[i - 1]] + [len(firsts)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        v = firsts[lo]
+        rest = _product_rows(base[lo:hi, 1:], starts)
+        block = np.empty((int(starts[v + 1] - starts[v]), len(rest), r), starts.dtype)
+        block[..., 0] = np.arange(starts[v], starts[v + 1], dtype=starts.dtype)[:, None]
+        block[..., 1:] = rest
+        out.append(block.reshape(-1, r))
+    return np.concatenate(out)
 
 
 def _blowup_shadow_count(spec: BlowupSpec) -> int:
@@ -117,8 +140,8 @@ def _blowup_shadow_count(spec: BlowupSpec) -> int:
     if spec.base.r != 3:
         raise UnsupportedUniformityError("shadow counting implemented for 3-graphs")
     sizes = spec.part_sizes
-    live = [e for e in spec.base.edges if all(sizes[v] for v in e)]
-    return sum(sizes[i] * sizes[j] for i, j in Hypergraph(3, spec.base.n, live).shadow().edges)
+    pairs = {p for e in _live_rows(spec).tolist() for p in itertools.combinations(e, 2)}
+    return sum(sizes[i] * sizes[j] for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------

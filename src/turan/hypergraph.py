@@ -2,9 +2,10 @@
 
 Vertices are the 0-based integers ``0 .. n-1`` everywhere in this package
 (the combinatorics literature usually writes ``1 .. n``; shift by one when
-comparing against hand calculations).  Edges are strictly sorted r-tuples
-and the edge set is kept in lexicographic order, so equal hypergraphs
-compare equal structurally.  ``to_text`` writes that canonical form and
+comparing against hand calculations).  The edges are stored as
+``rows``: a read-only array of strictly increasing rows in lexicographic
+order, so equal hypergraphs compare equal structurally; ``edges`` holds
+the same rows as tuples.  ``to_text`` writes that canonical form and
 ``Hypergraph.from_text``, the one reader, reads it back in two steps: one
 numpy pass over the bytes of each block of lines takes every plain row, and
 Python reads each other line by itself.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import logging
 import operator
-from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
@@ -35,6 +35,9 @@ Edge = tuple[int, ...]
 #: block is cut back to whole lines, so its byte and token arrays stay
 #: small whatever the length of the text.
 _TEXT_BLOCK = 1 << 16
+
+#: Rows per block when ``rows`` become edge tuples or text.
+_ROW_BLOCK = 1 << 14
 
 #: The line breaks of ``str.splitlines`` other than ``\n``.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -86,38 +89,53 @@ class Hypergraph(Frozen):
     rejected rather than silently deduplicated.
     """
 
-    __slots__ = ("r", "n", "edges", "_edge_masks")
+    __slots__ = ("r", "n", "rows", "_edges", "_edge_masks")
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
-        # lazy, so r and n are checked before any edge
-        self._fill(r, n, (_canonical_edge(raw, r, n) for raw in edges))
-
-    def _fill(self, r: int, n: int, canonical: Iterable[Edge]) -> None:
-        """Check r and n, then store edges that are already canonical."""
         if r < 1:
             raise InvalidArgumentError(f"uniformity must be >= 1, got {r}")
         if n < 0:
             raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "n", int(n))
-        edges = canonical if type(canonical) is list else list(canonical)
-        # blowup and from_text mostly supply strictly increasing runs: one
-        # comparison pass, else sort and drop each edge equal to its successor
-        if not all(map(operator.lt, edges, itertools.islice(edges, 1, None))):
-            edges.sort()
-            last = map(operator.ne, edges, itertools.islice(edges, 1, None))
-            edges = itertools.compress(edges, itertools.chain(last, (True,)))
-        object.__setattr__(self, "edges", tuple(edges))
+        edges = [_canonical_edge(e, r, n) for e in edges]
+        if not all(map(operator.lt, edges, edges[1:])):  # not already sorted and distinct
+            edges = sorted(set(edges))
+        dtype = np.min_scalar_type(max(n - 1, 0))
+        rows = np.fromiter(itertools.chain.from_iterable(edges), dtype, len(edges) * r).reshape(-1, r)
+        self.__setstate__({"r": int(r), "n": int(n), "rows": rows, "_edges": tuple(edges)})
 
     @classmethod
-    def _from_canonical(cls, r: int, n: int, edges: Iterable[Edge]) -> "Hypergraph":
-        """Build from edges already known to be sorted r-subsets of 0..n-1 (unchecked).
-
-        A list of edges is taken over and may be reordered.
-        """
+    def _from_rows(cls, r: int, n: int, rows: np.ndarray) -> "Hypergraph":
+        """Build from (E, r) rows known to be sorted r-subsets of 0..n-1
+        (unchecked), in any order, repeats allowed: they are kept in the
+        smallest dtype that holds n - 1, lexicographically sorted and
+        deduplicated if some row is not above the one before it."""
+        rows = rows.astype(np.min_scalar_type(max(n - 1, 0)), copy=False)
+        above = np.zeros(max(len(rows) - 1, 0), bool)  # each row above the last, from column k on
+        for k in reversed(range(r if len(rows) > 1 else 0)):
+            above = (rows[1:, k] > rows[:-1, k]) | ((rows[1:, k] == rows[:-1, k]) & above)
+        if not above.all():
+            rows = rows[np.lexsort(rows.T[::-1])]
+            rows = rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
         graph = cls.__new__(cls)
-        graph._fill(r, n, edges)
+        graph.__setstate__({"r": int(r), "n": int(n), "rows": rows})
         return graph
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self.rows.flags.writeable = False
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """``rows`` as sorted tuples: those the constructor sorted, else built
+        on first use, a block of rows at a time, and kept."""
+        try:
+            return self._edges
+        except AttributeError:
+            edges = []
+            for i in range(0, len(self.rows), _ROW_BLOCK):  # short-lived lists stay few
+                edges += zip(*self.rows[i : i + _ROW_BLOCK].T.tolist())
+            object.__setattr__(self, "_edges", tuple(edges))
+            return self._edges
 
     @property
     def edge_masks(self) -> frozenset:
@@ -146,28 +164,27 @@ class Hypergraph(Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.r, self.n, self.edges) == (other.r, other.n, other.edges)
+        return (self.r, self.n) == (other.r, other.n) and np.array_equal(self.rows, other.rows)
 
     def __hash__(self) -> int:
         return hash((self.r, self.n, self.edges))
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
 
     def __repr__(self) -> str:
-        return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self.edges)})"
+        return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self)})"
 
     # -- structural queries ----------------------------------------------------
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise InvalidArgumentError(f"vertex {v} out of range for n={self.n}")
-        return sum(1 for e in self.edges if v in e)
+        return int((self.rows == v).sum())
 
     def degrees(self) -> list[int]:
-        """Every vertex's degree, counted in one pass over the edges."""
-        counts = Counter(itertools.chain.from_iterable(self.edges))
-        return [counts[v] for v in range(self.n)]
+        """Every vertex's degree, counted in one pass over the rows."""
+        return np.bincount(self.rows.ravel(), minlength=self.n).tolist()
 
     def shadow(self, steps: int = 1) -> "Hypergraph":
         """All (r-steps)-subsets contained in some edge; same vertex set.
@@ -270,21 +287,27 @@ class Hypergraph(Frozen):
             raise InvalidArgumentError(
                 f"densities need n >= r, got n={self.n}, r={self.r}"
             )
-        edge = Fraction(len(self.edges), comb(self.n, self.r))
-        shadow = Fraction(len(self.shadow(1).edges), comb(self.n, self.r - 1))
+        edge = Fraction(len(self), comb(self.n, self.r))
+        shadow = Fraction(len(self.shadow(1)), comb(self.n, self.r - 1))
         return edge, shadow
 
     # -- text format -----------------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form: ``r n`` then one sorted edge per line."""
-        header = f"{self.r} {self.n}\n"
-        if not self.edges:  # r may be huge when there are no edges
-            return header
-        row = " ".join(["%d"] * self.r) + "\n"
-        return header + (row * len(self.edges)) % tuple(
-            itertools.chain.from_iterable(self.edges)
-        )
+        """Canonical text form: ``r n`` then one sorted edge per line, spelled
+        out a block of rows at a time in fixed-width fields of digits after
+        zero bytes, each ended by a space or newline; the zero bytes are dropped."""
+        width = len(str(self.rows[:, -1].max(initial=0)))
+        chunks = [f"{self.r} {self.n}\n".encode()]
+        for i in range(0, len(self.rows), _ROW_BLOCK):
+            rows = self.rows[i : i + _ROW_BLOCK]
+            text = np.empty((*rows.shape, width + 1), np.uint8)
+            text[..., -1] = [32] * (self.r - 1) + [10]
+            for j in range(width):  # the digit of 10**j, where the vertex has one
+                high = rows // 10**j
+                text[..., width - 1 - j] = np.where((high > 0) | (j == 0), high % 10 + 48, 0)
+            chunks.append(text[text != 0])
+        return b"".join(chunks).decode()
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
@@ -329,8 +352,9 @@ class Hypergraph(Frozen):
             raise ParseError(
                 f"header 'r n' needs r >= 1 and n >= 0, got {raw.strip()!r}", line=start
             )
-        edges: list[Edge] = []
-        by_bytes, size, lineno = 0, _TEXT_BLOCK, start  # lineno: the line before the block
+        dtype = np.min_scalar_type(max(n - 1, 0))  # as the graph keeps them: no int64 blocks
+        parts, loose = [np.empty((0, r), dtype)], []
+        size, lineno = _TEXT_BLOCK, start  # lineno: the line before the block
         pos = len(text) if end < 0 else end + 1
         while pos < len(text):
             # one byte per character: whatever is not ASCII becomes "?"
@@ -344,10 +368,7 @@ class Hypergraph(Frozen):
             elif block[-1] != 10:
                 ends = np.append(ends, len(block))
             counts, values, good = _plain_rows(block, ends, r, min(n, 10**18))
-            flat = values[np.repeat(good, counts)]
-            if flat.size:
-                edges += zip(*[iter(flat.tolist())] * r)
-                by_bytes += flat.size // r
+            parts.append(values[np.repeat(good, counts)].reshape(-1, r).astype(dtype))
             bad = np.flatnonzero(~good)
             starts = (np.append(-1, ends)[bad] + pos + 1).tolist()
             for i, lo, hi in zip(bad.tolist(), starts, (ends[bad] + pos).tolist()):
@@ -360,19 +381,22 @@ class Hypergraph(Frozen):
                     row = [int(f) for f in fields]
                     if (len(row) == r and row[0] >= 0 and row[-1] < n
                             and all(map(operator.lt, row, row[1:]))):
-                        edges.append(tuple(row))
+                        loose.append(row)
                     else:
-                        edges.append(_canonical_edge(row, r, n))
+                        loose.append(_canonical_edge(row, r, n))
                 except InvalidArgumentError as exc:
                     raise ParseError(str(exc), line=line) from None
                 except ValueError:
                     raise ParseError(f"non-integer token in {raw.strip()!r}", line=line) from None
             pos += len(block)
             lineno += len(ends)
+        rows = np.concatenate(parts)
+        if loose:
+            rows = np.concatenate((rows, np.array(loose, object)))
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("from_text: %d rows, %d by bytes, %d line by line",
-                       len(edges), by_bytes, len(edges) - by_bytes)
-        return cls._from_canonical(r, n, edges)
+                       len(rows), len(rows) - len(loose), len(loose))
+        return cls._from_rows(r, n, rows)
 
 
 def _plain_rows(block: np.ndarray, ends: np.ndarray, r: int, limit: int):

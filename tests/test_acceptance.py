@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from turan import verify
+from turan.common import PreconditionError
 from turan.constructions import blowup_edge_count, double_vertex
 from turan.hypergraph import Hypergraph
 from turan.verify import CHECKS
@@ -76,6 +77,20 @@ class TestExactPropertyLines:
     def test_blowup_identity_fails_with_one_extra_edge(self, monkeypatch):
         monkeypatch.setattr(verify, "blowup_edge_count", lambda spec: blowup_edge_count(spec) + 1)
         assert not property_line("blowup counts are")
+
+    def test_pair_averaging_decrease_is_a_fail_line(self, monkeypatch):
+        names = [r.name for r in verify.check_property_suites(seed=0)]
+
+        def decreasing(poly, i, j, x):
+            raise PreconditionError("averaging decreased the value")
+
+        monkeypatch.setattr(verify, "symmetrize_point", decreasing)
+        results = verify.check_property_suites(seed=0)
+        # the criterion still reports every line; only the averaging line fails
+        assert [r.name for r in results] == names
+        assert [r.name for r in results if not r.passed] == [
+            name for name in names if name.startswith("pair averaging is monotone")
+        ]
 
 
 def _rank(rows: list[list[Fraction]]) -> int:

@@ -298,6 +298,25 @@ class TestVerifyCommand:
             ("bad", "broken", False, "why"),
         ]
 
+    def test_json_seconds_are_per_line(self, capsys, monkeypatch):
+        import time
+
+        from turan import verify
+        from turan.verify import CheckResult
+
+        def slow_second_line(seed):
+            first = CheckResult("quick", True, "")
+            time.sleep(0.2)
+            return [first, CheckResult("slow", True, ""), CheckResult("after", True, "")]
+
+        monkeypatch.setattr(verify, "CHECKS", {"timed": slow_second_line})
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        quick, slow, after = (row["seconds"] for row in json.loads(out))
+        assert code == 0
+        # each line carries the time since the line before it, not the criterion's total
+        assert slow >= 0.2 > quick + after
+        assert min(quick, slow, after) >= 0
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")
         assert code == 1

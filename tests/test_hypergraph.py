@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +25,7 @@ from turan import (
     read_hypergraph,
     write_hypergraph,
 )
-from turan import hypergraph
+from turan import blowup_edge_count, hypergraph
 
 K4 = Hypergraph.complete(3, 4)
 # tight 5-cycle, zero-based from the 1-based edge list {123,234,345,451,512}
@@ -537,6 +538,11 @@ class TestTextPaths:
             *(gamma(t) for t in range(1, 5)),
             blowup(BlowupSpec(gamma(2), (3, 3, 1, 2, 2, 1))),
             blowup(BlowupSpec(gamma(3), (4, 4, 0, 4, 3, 1, 5))),
+            # rows of dtype uint16, uint32, uint64 and object
+            Hypergraph(2, 257, [(0, 256), (9, 10), (99, 100)]),
+            Hypergraph(3, 65537, [(0, 9, 65536), (1, 10, 100)]),
+            Hypergraph(2, 2**64, [(0, 2**64 - 1), (7, 2**40)]),
+            Hypergraph(3, 10**30, [(0, 1, 10**25), (5, 10**29, 10**30 - 1)]),
         ],
     )
     def test_to_text_bytes_unchanged(self, graph):
@@ -554,6 +560,19 @@ class TestTextPaths:
             tracemalloc.stop()
         assert len(graph) == 100_000
         assert peak <= 11 * len(text)
+
+    def test_to_text_peak_memory_is_at_most_four_times_its_output(self):
+        # the 138,240-edge gamma(3) blowup at n = 120 that the benchmark writes
+        graph = blowup(BlowupSpec(gamma(3), (24, 24, 24, 6, 18, 18, 6)))
+        assert len(graph) == 138_240
+        tracemalloc.start()
+        try:
+            text = graph.to_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == old_to_text(graph)
+        assert peak <= 4 * len(text)
 
     def test_debug_record_names_each_batch_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="turan.hypergraph"):
@@ -631,3 +650,187 @@ class TestCopyAndPickle:
         clone = pickle.loads(pickle.dumps(K4))
         with pytest.raises(AttributeError):
             clone.n = 5
+
+    @pytest.mark.parametrize("graph", [K4, Hypergraph.empty(2, 3), Hypergraph(2, 10**30, [(0, 10**29)])])
+    def test_clones_carry_read_only_rows_and_no_edge_cache(self, graph):
+        graph.edges  # fill the cache
+        assert not graph.rows.flags.writeable
+        for clone in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+            assert not hasattr(clone, "_edges")
+            assert clone.rows.dtype == graph.rows.dtype
+            assert (clone.rows.tolist(), clone.edges) == (graph.rows.tolist(), graph.edges)
+            assert not clone.rows.flags.writeable
+            with pytest.raises(ValueError):
+                clone.rows[:1] = 0
+
+
+def reference_edges(r, n, edges) -> tuple:
+    """A per-edge tuple reference: each row sorted and checked in input
+    order, then the set of rows in lexicographic order."""
+    if r < 1:
+        raise InvalidArgumentError(f"uniformity must be >= 1, got {r}")
+    if n < 0:
+        raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
+    out = set()
+    for raw in edges:
+        edge = tuple(sorted(int(v) for v in raw))
+        if len(edge) != r:
+            raise InvalidArgumentError(
+                f"edge {tuple(raw)!r} has {len(edge)} vertices, expected {r}"
+            )
+        if len(set(edge)) != r:
+            raise InvalidArgumentError(f"edge {tuple(raw)!r} repeats a vertex")
+        if edge and (edge[0] < 0 or edge[-1] >= n):
+            raise InvalidArgumentError(f"edge {edge!r} out of range for n={n}")
+        out.add(edge)
+    return tuple(sorted(out))
+
+
+def build_outcome(build, r, n, edges):
+    """The edges a constructor stores, or the type and message of its error."""
+    try:
+        result = build(r, n, edges)
+    except (InvalidArgumentError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return result.edges if isinstance(result, Hypergraph) else result
+
+
+# how a vertex value may arrive: the constructor reads each with int()
+VERTEX_KINDS = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "half": lambda v: v + 0.5,
+    "bool": lambda v: bool(v) if v in (0, 1) else v,
+    "int64": lambda v: np.int64(v) if abs(v) < 2**63 else v,
+    "uint16": lambda v: np.uint16(v) if 0 <= v < 2**16 else v,
+    "int8": lambda v: np.int8(v) if -128 <= v < 128 else v,
+}
+
+
+def product_blowup(spec: BlowupSpec) -> tuple:
+    """Reference blowup: every product of the parts of each base edge, sorted."""
+    offsets = [0, *itertools.accumulate(spec.part_sizes)]
+    rows = set()
+    for e in spec.base.edges:
+        rows.update(itertools.product(*(range(offsets[v], offsets[v + 1]) for v in e)))
+    return tuple(sorted(rows))
+
+
+class TestArrayRows:
+    """The array-backed graph against per-edge tuple references."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_init_matches_tuple_reference(self, data):
+        r = data.draw(st.integers(1, 4))
+        n = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8, 300, 70_000, 10**20]))
+        vertex = st.integers(-2, min(n + 1, 12)) | st.sampled_from([n - 1, n, 255, 256])
+        rows = data.draw(
+            st.lists(st.lists(vertex, min_size=max(r - 1, 0), max_size=r + 1), max_size=8)
+        )
+        kinds = data.draw(st.lists(st.sampled_from(sorted(VERTEX_KINDS)), min_size=1, max_size=2))
+        edges = [
+            tuple(VERTEX_KINDS[kinds[(i + j) % len(kinds)]](v) for j, v in enumerate(row))
+            for i, row in enumerate(rows)
+        ]
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+        assert build_outcome(Hypergraph, r, n, edges) == build_outcome(reference_edges, r, n, edges)
+
+    @pytest.mark.parametrize(
+        "r, n, edges",
+        [
+            (3, 5, [(4, 2, 0), (0, 2, 4), (1, 3, 2)]),
+            (3, 5, np.array([[4, 2, 0], [0, 2, 4], [1, 3, 2]])),
+            (3, 5, [(0, 1, 2), (0, 1)]),
+            (3, 5, [(0, 1, 2), (0, 1, 2, 3)]),
+            (3, 5, [(0, 1, 2), (1, 1, 2), (0, 1, 9)]),
+            (3, 5, [(0, 1, 9), (1, 1, 2)]),
+            (3, 5, [(-1, 0, 1)]),
+            (3, 5, ["012", "431"]),
+            (3, 5, [{0, 1, 2}, [2, 1, 0]]),
+            (3, 5, [(0, 1, "x")]),
+            (3, 5, [(0, 1, None)]),
+            (1, 3, [2, 0]),
+            (1, 3, [(True,), (False,), (2,)]),
+            (2, 10**30, [(10**29, 0), (0, 10**29), (5, 4)]),
+            (2, 10**30, [(0, 10**30)]),
+            (2, 2**64, [(np.uint64(2**64 - 1), 0)]),
+            (0, 5, [(0, 1)]),
+            (3, -1, []),
+            (10**7, 2, []),
+        ],
+    )
+    def test_init_fixed_cases_match_tuple_reference(self, r, n, edges):
+        assert build_outcome(Hypergraph, r, n, edges) == build_outcome(reference_edges, r, n, edges)
+
+    @pytest.mark.parametrize(
+        "n, dtype", [(0, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+                     (65_537, np.uint32), (2**64, np.uint64), (2**64 + 1, object)],
+    )
+    def test_rows_dtype_is_the_smallest_that_holds_n_minus_1(self, n, dtype):
+        graph = Hypergraph(2, n, [(0, n - 1)] if n >= 2 else [])
+        assert graph.rows.dtype == np.dtype(dtype)
+        assert graph.rows.shape == (len(graph), 2)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_blowup_matches_product_reference(self, data):
+        r = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(r, 6))
+        universe = list(itertools.combinations(range(m), r))
+        base = Hypergraph(r, m, data.draw(st.lists(st.sampled_from(universe), max_size=8)))
+        sizes = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        spec = BlowupSpec(base, sizes)
+        graph = blowup(spec)
+        assert (graph.r, graph.n) == (r, sum(sizes))
+        assert graph.edges == product_blowup(spec)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (250, 3, 2, 2),  # vertices on both sides of 256
+            (65_530, 2, 3, 2),  # and of 65,536
+            (2**64 - 3, 1, 2, 1),  # uint64 rows
+            (10**30, 1, 2, 1),  # object rows
+            (0, 0, 3, 4),  # every base edge meets an empty part
+        ],
+    )
+    def test_blowup_across_dtype_boundaries(self, sizes):
+        # vertex 0 is isolated, so its part only shifts the others
+        spec = BlowupSpec(Hypergraph(3, 4, [(1, 2, 3)]), sizes)
+        graph = blowup(spec)
+        assert graph.n == sum(sizes)
+        assert graph.edges == product_blowup(spec)
+        assert Hypergraph.from_text(graph.to_text()) == graph
+        assert graph.to_text() == old_to_text(graph)
+
+    def test_blowup_of_a_base_with_vertex_255(self):
+        # the base rows are uint8, and part 255 ends where part 256 would begin
+        base = Hypergraph(2, 256, [(0, 255), (254, 255)])
+        spec = BlowupSpec(base, (1,) * 254 + (2, 3))
+        assert blowup(spec).edges == product_blowup(spec)
+
+    def test_edgeless_base_blows_up_to_no_rows(self):
+        graph = blowup(BlowupSpec(Hypergraph.empty(3, 4), (1, 2, 3, 4)))
+        assert graph == Hypergraph.empty(3, 10) and graph.rows.shape == (0, 3)
+
+    def test_len_and_eq_read_rows_without_building_edges(self):
+        spec = BlowupSpec(gamma(2), (3, 3, 1, 2, 2, 1))
+        graph, again = blowup(spec), Hypergraph.from_text(blowup(spec).to_text())
+        assert len(graph) == blowup_edge_count(spec) and graph == again
+        assert not hasattr(graph, "_edges") and not hasattr(again, "_edges")
+        assert graph.edges is graph.edges and len(graph.edges) == len(graph)
+
+    @pytest.mark.parametrize(
+        "graph", [K4, C5, gamma(3), Hypergraph.empty(3, 4), Hypergraph(2, 10**30, [(10**29, 0), (1, 2)])]
+    )
+    def test_constructor_keeps_the_tuples_that_rows_build(self, graph):
+        # the constructor keeps its sorted tuples; a graph from rows builds them
+        again = Hypergraph._from_rows(graph.r, graph.n, graph.rows[::-1])
+        assert not hasattr(again, "_edges") and again == graph
+        assert again.edges == graph.edges and again.rows.dtype == graph.rows.dtype
+
+    def test_hash_is_that_of_the_edge_tuples(self):
+        for graph in (K4, C5, Hypergraph.empty(2, 3), gamma(3)):
+            assert hash(graph) == hash((graph.r, graph.n, graph.edges))
