@@ -233,10 +233,6 @@ class Hypergraph(Frozen):
                 completions.append(rest[0] if self.r == 3 else rest)
         return Codegree(frozenset(completions), len(completions))
 
-    def pair_in_shadow(self, u: int, v: int) -> bool:
-        """Whether some edge contains both u and v."""
-        return any(u in e and v in e for e in self.edges)
-
     def is_two_covered(self) -> bool:
         """True iff every pair of distinct vertices lies in some edge."""
         if self.n < 2:

@@ -1,19 +1,20 @@
-"""Maximization of multilinear polynomials over the standard simplex.
+"""Maximization of edge polynomials over the standard simplex.
 
-The optimizer first merges twin variables (p depends on a twin class only
-through its sum), then runs the Baum–Eagon growth transform
-x <- x * grad q / (x . grad q) on all starts at once, as one (starts, m)
-batch, where q is the polynomial homogenized with nonnegative coefficients
-(Gopalakrishnan et al. 1991), so every step raises the value with no step
-size.  Near an optimum on a face the transform only shrinks the vanishing
-coordinates geometrically (Bomze 1997), so at a few batch steps the best
-rows with such a coordinate are finished by an active-set Newton polish,
-kept only where it lands on an isolated KKT point no worse than the row.  It
-is cross-checked against an exact-rational grid enumeration; values that
-land near a small-denominator rational are snapped and re-verified exactly.
-Where a closed optimal set exists, it is certified by exact segment
-evaluation rather than recomputed.  Each phase logs what it did to the
-``turan`` logger at DEBUG.
+:func:`maximize` takes a homogeneous polynomial with nonnegative
+coefficients, such as a hypergraph's edge polynomial, whose maximum over the
+simplex is its Lagrangian.  It first merges twin variables (p depends on a
+twin class only through its sum), then runs the Baum–Eagon growth transform
+x <- x * grad p / (x . grad p) on all starts at once, as one (starts, m)
+batch; on such a polynomial every step raises the value with no step size
+(Baum & Eagon 1967).  Near an optimum on a face the transform only shrinks
+the vanishing coordinates geometrically (Bomze 1997), so at a few batch
+steps the best rows with such a coordinate are finished by an active-set
+Newton polish, kept only where it lands on an isolated KKT point no worse
+than the row.  It is cross-checked against an exact-rational grid
+enumeration; values that land near a small-denominator rational are snapped
+and re-verified exactly.  Where a closed optimal set exists, it is
+certified by exact segment evaluation rather than recomputed.  Each phase
+logs what it did to the ``turan`` logger at DEBUG.
 """
 
 from __future__ import annotations
@@ -228,14 +229,14 @@ def _kkt_residuals(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.where(active, np.abs(deviation), np.clip(deviation, 0.0, None)).max(axis=1)
 
 
-def _growth_step(kernel: PolyKernel, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """One Baum–Eagon step x_i <- x_i (g_i + K) / (x . g + K) on every row.
+def _growth_step(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """One Baum–Eagon step x_i <- x_i g_i / (x . g) on every row.
 
-    g + K is the gradient of the homogenized polynomial, which has no
-    negative coefficient, so no row's value decreases; the clip only
-    removes rounding below zero.  A row with no growth direction stays.
+    The polynomial is homogeneous with nonnegative coefficients (see
+    :func:`maximize`), so at x >= 0 every g_i >= 0, exactly in floats too,
+    and no row's value decreases.  A row with no growth direction stays.
     """
-    W = X * np.clip(G + kernel.homogenizing_shift(X)[:, None], 0.0, None)
+    W = X * G
     total = W.sum(axis=1, keepdims=True)
     return np.divide(W, total, out=X.copy(), where=total > 0)
 
@@ -259,7 +260,7 @@ def _growth_ascent(kernel: PolyKernel, X: np.ndarray, tol: float, max_iter: int)
         if it == polish_at:
             polish_at *= 2
             # the best rows outside tol with a slowly decaying coordinate
-            _, slow = _decaying(kernel, X, G)
+            _, slow = _decaying(X, G)
             rows = np.flatnonzero((residuals > tol) & slow.any(axis=1))
             rows = rows[np.argsort(-F[rows], kind="stable")[:POLISH_ROWS]]
             if rows.size:
@@ -286,7 +287,7 @@ def _growth_ascent(kernel: PolyKernel, X: np.ndarray, tol: float, max_iter: int)
         elif it == max_iter:
             reason = "cap"
         else:
-            X = _growth_step(kernel, X, G)
+            X = _growth_step(X, G)
             continue
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("ascent: %d steps, stopped on %s, %d of %d rows within tol",
@@ -294,18 +295,17 @@ def _growth_ascent(kernel: PolyKernel, X: np.ndarray, tol: float, max_iter: int)
         return X, F, it, reason, int(converged.sum()), polished
 
 
-def _decaying(kernel: PolyKernel, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decaying(X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates below _DECAY_SMALL that a growth step shrinks, and those
     of them it shrinks slowly.
 
-    A growth step scales x_i by (g_i + K) / (x . g + K) (see
-    :func:`_growth_step`); on a face optimum with g_i < x . g that factor
-    stays below 1, so x_i only decays geometrically.  Above _DECAY_SLOW the
-    decay takes hundreds of steps.  Returns two boolean masks shaped as X.
+    A growth step scales x_i by g_i / (x . g) (see :func:`_growth_step`); on
+    a face optimum with g_i < x . g that factor stays below 1, so x_i only
+    decays geometrically.  Above _DECAY_SLOW the decay takes hundreds of
+    steps.  Returns two boolean masks shaped as X.
     """
-    shift = kernel.homogenizing_shift(X)[:, None]
-    level = np.einsum("ij,ij->i", X, G)[:, None] + shift
-    rate = np.divide(G + shift, level, out=np.ones_like(G), where=level > 0)
+    level = np.einsum("ij,ij->i", X, G)[:, None]
+    rate = np.divide(G, level, out=np.ones_like(G), where=level > 0)
     decaying = (X < _DECAY_SMALL) & (rate < 1.0)
     return decaying, decaying & (rate > _DECAY_SLOW)
 
@@ -339,7 +339,7 @@ def _polish(kernel: PolyKernel, X: np.ndarray, F: np.ndarray, tol: float):
     """
     Y = X.copy()
     count, m = Y.shape
-    Y[_decaying(kernel, Y, kernel.gradients(Y))[0]] = 0.0
+    Y[_decaying(Y, kernel.gradients(Y))[0]] = 0.0
     face = Y > 0.0
     last = np.full(count, np.inf)
     settled = np.zeros(count, dtype=bool)
@@ -477,8 +477,11 @@ def maximize(
 ) -> LagrangianResult:
     """Best-effort global maximum of ``poly`` over the standard simplex.
 
-    Twin variables (see :meth:`MultilinearPoly.twin_classes`) are merged
-    first; the maximizer puts each class's weight on its lowest member, and
+    ``poly`` must be homogeneous with nonnegative coefficients, as an edge
+    polynomial is, or constant; any other polynomial raises
+    PreconditionError, naming a negative term or two of its degrees.  Twin
+    variables (see :meth:`MultilinearPoly.twin_classes`) are merged first;
+    the maximizer puts each class's weight on its lowest member, and
     ``kkt_residual`` is computed there on ``poly`` itself.  Deterministic
     for a fixed seed: the first start is the uniform point and the rest are
     Dirichlet(1) samples.  All starts ascend together as one batch of
@@ -502,6 +505,17 @@ def maximize(
         starts = max(50, 10 * m)
     if starts < 1:
         raise InvalidArgumentError("starts must be >= 1")
+    # off this class the growth step can lower the value (see _growth_step)
+    degrees = sorted({len(subset) for subset in poly.terms})
+    if len(degrees) > 1:
+        raise PreconditionError(
+            f"maximize needs a homogeneous polynomial, got degrees {degrees[0]} and {degrees[-1]}"
+        )
+    negative = next((subset for subset, coef in poly.terms.items() if subset and coef < 0), None)
+    if negative is not None:
+        raise PreconditionError(
+            f"maximize needs nonnegative coefficients, term {negative} has {poly.terms[negative]}"
+        )
 
     if poly.is_zero():
         uniform = SimplexPoint.uniform(m)

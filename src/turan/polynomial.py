@@ -442,33 +442,22 @@ class PolyKernel:
             tail = tuple(i - split for i in subset if i >= split)
             by_head.setdefault(head, []).append((tail, k))
         self._scan_groups = tuple(by_head.items())
-        # p + C (sum x)^deg, homogenized, has no negative coefficient
-        negative = -sum(min(c, 0.0) for c in self.float_coefs)
-        self._shift_constant = (self.constant + negative) * self.degree
-        self._shift_groups = [
-            (idx, coefs * (self.degree - idx.shape[1]))
-            for idx, coefs in self.groups
-            if idx.shape[1] < self.degree
-        ]
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Float values at every row of an (S, m) array."""
-        return self._sums(X, self.groups, self.constant)
+        out = np.full(X.shape[0], self.constant)
+        width = sum(idx.size for idx, _ in self.groups)
+        for rows in self._chunks(X.shape[0], width):
+            block = X[rows]
+            for idx, coefs in self.groups:
+                # a row-wise sum adds each row's terms in one fixed order,
+                # whatever the row count; a matrix product does not
+                out[rows] += (np.prod(block[:, idx], axis=2) * coefs).sum(axis=1)
+        return out
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         """Float gradients at every row of an (S, m) array, as an (S, m) array."""
         return self._derivatives(X, 1)
-
-    def homogenizing_shift(self, X: np.ndarray) -> np.ndarray:
-        """Per-row K with grad q = grad p + K at every simplex row of X.
-
-        q = sum_S c_S x^S (sum x)^(deg - |S|) + C (sum x)^deg, where C is the
-        sum of |c_S| over negative coefficients, is p + C homogenized to the
-        full degree, with no negative coefficient.  So K = C deg +
-        sum_S c_S (deg - |S|) x^S; it is exactly 0 for a homogeneous
-        polynomial with nonnegative coefficients, such as an edge polynomial.
-        """
-        return self._sums(X, self._shift_groups, self._shift_constant)
 
     def hessians(self, X: np.ndarray) -> np.ndarray:
         """Float Hessians at every row of an (S, m) array, as an (S, m, m) array.
@@ -522,17 +511,6 @@ class PolyKernel:
             flat = np.concatenate(targets) if targets else None
             self._derivative_tables[order] = groups, flat, width
         return self._derivative_tables[order]
-
-    def _sums(self, X: np.ndarray, groups, constant: float) -> np.ndarray:
-        out = np.full(X.shape[0], constant)
-        width = sum(idx.size for idx, _ in groups)
-        for rows in self._chunks(X.shape[0], width):
-            block = X[rows]
-            for idx, coefs in groups:
-                # a row-wise sum adds each row's terms in one fixed order,
-                # whatever the row count; a matrix product does not
-                out[rows] += (np.prod(block[:, idx], axis=2) * coefs).sum(axis=1)
-        return out
 
     def _chunks(self, count: int, width: int):
         step = max(1, _CHUNK_ELEMENTS // max(width, 1))

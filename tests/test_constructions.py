@@ -310,7 +310,7 @@ class TestDoubleVertex:
         clone_link = {e for e in doubled.link(6).edges}
         orig_link = {e for e in doubled.link(2).edges if 6 not in e}
         assert clone_link == orig_link
-        assert not doubled.pair_in_shadow(2, 6)
+        assert doubled.codegree((2, 6)).count == 0
 
 
 class TestTwoCompleteBlocksShareNothing:

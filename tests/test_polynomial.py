@@ -326,6 +326,16 @@ def random_signed_poly(rng, m):
     return MultilinearPoly(m, terms)
 
 
+def random_weighted_poly(rng, m, r):
+    """Rational coefficients in (0, 3] on random terms of degree r: homogeneous
+    and nonnegative, the class maximize accepts."""
+    terms = {}
+    for _ in range(int(rng.integers(3, 12))):
+        subset = tuple(sorted(int(i) for i in rng.choice(m, r, replace=False)))
+        terms[subset] = Fraction(int(rng.integers(1, 37)), 12)
+    return MultilinearPoly(m, terms)
+
+
 SIGNED_POLYS = [
     random_signed_poly(np.random.default_rng(seed), m)
     for seed, m in enumerate((3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7))
@@ -417,27 +427,14 @@ class TestKernelDifferential:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polynomial, "_CHUNK_ELEMENTS", 3 * max(width, 1))
             values, grads = kernel.values(X), kernel.gradients(X)
-            shifts = kernel.homogenizing_shift(X)
             hessians = kernel.hessians(X)
         assert values.shape == (rows,) and grads.shape == (rows, poly.m)
         assert hessians.shape == (rows, poly.m, poly.m)
-        d = kernel.degree
-        negative = -sum(min(c, 0) for c in poly.terms.values())
-        for k, (x, shift) in enumerate(zip(X, shifts)):
+        for k in range(rows):
             # a row of a chunked batch is bit for bit a one-row batch
             assert values[k] == kernel.values(X[k : k + 1])[0]
             np.testing.assert_array_equal(grads[k], kernel.gradients(X[k : k + 1])[0])
             np.testing.assert_array_equal(hessians[k], kernel.hessians(X[k : k + 1])[0])
-            exact = negative * d + sum(
-                c * (d - len(s)) * np.prod([Fraction(x[i]) for i in s])
-                for s, c in poly.terms.items()
-            )
-            assert abs(shift - float(exact)) <= 1e-12
-
-    def test_edge_polynomial_shift_is_zero(self):
-        X = np.random.default_rng(3).dirichlet(np.ones(8), size=20)
-        kernel = MultilinearPoly.from_hypergraph(gamma(4)).kernel
-        assert not kernel.homogenizing_shift(X).any()
 
     @given(signed_polys(), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
