@@ -18,6 +18,7 @@ one-dimensional family of optimal weightings.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,8 @@ from .common import (
 from .hypergraph import Hypergraph, _check_pair
 from .lagrangian import SimplexPoint, maximize
 from .polynomial import MultilinearPoly
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -331,18 +334,27 @@ def extremal_blowup_search(
 ) -> tuple[tuple[int, ...], int]:
     """Integer part sizes summing to n that maximize the blowup edge count.
 
-    ``exhaustive`` scans every composition (budgeted) and returns the
-    lexicographically smallest maximizing size vector.  ``local`` runs a
-    steepest single-unit-transfer ascent from the rounded continuous
-    maximizer, restarted from perturbed roundings (``_LOCAL_RESTARTS``
-    ascents in all), and returns the lexicographically smallest of their
-    local optima with the largest count.  That is not always the lex-least
-    of all maximizers: for ``gamma(2)`` at n = 60 both modes count 13,500
-    edges, but ``local`` returns (15, 15, 15, 0, 0, 15) and ``exhaustive``
-    (15, 15, 0, 15, 15, 0).
+    ``exhaustive`` scans every composition (budgeted, see
+    :meth:`PolyKernel.scan`, which skips the prefix rows that provably
+    cannot reach the running maximum) and returns the lexicographically
+    smallest maximizing size vector.  ``local`` runs a steepest
+    single-unit-transfer ascent from the rounded continuous maximizer and
+    from ``_LOCAL_RESTARTS - 1`` perturbed roundings (noise drawn from
+    ``seed``).  The ascents climb in lockstep: each step scores every unit
+    transfer of every ascent still climbing in one exact batch, and each
+    ascent takes its first best move in (src, dst) order, or stops when no
+    move raises its count.  It returns the lexicographically smallest of
+    their local optima with the largest count.  That is not always the
+    lex-least of all maximizers: for ``gamma(2)`` at n = 60 both modes count
+    13,500 edges, but ``local`` returns (15, 15, 15, 0, 0, 15) and
+    ``exhaustive`` (15, 15, 0, 15, 15, 0).  Raises InvalidArgumentError for
+    n < 0, seed < 0 (in every mode), a base without vertices or an unknown
+    mode.  The local search logs one DEBUG record.
     """
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     m = graph.n
     if m == 0:
         raise InvalidArgumentError("base hypergraph has no vertices")
@@ -388,28 +400,37 @@ def _local_search(graph, n, seed):
                 remainder += 1
         return [int(v) for v in floors]
 
-    def ascend(sizes: list[int]) -> tuple[tuple[int, ...], int]:
-        # edge polynomial: exact_values are edge counts
-        current = np.array(sizes, dtype=np.int64)
-        value = kernel.exact_values(current[None, :], n)[0]
-        while True:
-            rows = (current + moves)[current[src] > 0]
-            if not len(rows):
-                break
-            values = kernel.exact_values(rows, n)
-            k = int(np.argmax(values))  # first best move in (src, dst) order
-            if values[k] <= value:
-                break
-            current, value = rows[k], values[k]
-        return tuple(int(v) for v in current), int(value)
-
-    best_sizes, best_value = ascend(round_to_composition(target))
-    for _ in range(_LOCAL_RESTARTS - 1):
-        noise = rng.normal(0.0, 0.75, size=m)
-        sizes, value = ascend(round_to_composition(np.clip(target + noise, 0, None)))
-        if value > best_value or (value == best_value and sizes < best_sizes):
-            best_sizes, best_value = sizes, value
-    return best_sizes, best_value
+    noise = [rng.normal(0.0, 0.75, size=m) for _ in range(_LOCAL_RESTARTS - 1)]
+    starts = [target] + [np.clip(target + z, 0, None) for z in noise]
+    current = np.array([round_to_composition(w) for w in starts], dtype=np.int64)
+    # edge polynomial: exact_values are edge counts
+    value = kernel.exact_values(current, n)
+    live = np.arange(len(current))
+    steps, scored = 0, len(current)
+    while len(live):
+        # every unit transfer of every climbing ascent, ascent-major, in (src, dst) order
+        here = current[live]
+        moved = here[:, None, :] + moves
+        legal = here[:, src] > 0
+        if not legal.any():
+            break
+        values = kernel.exact_values(moved[legal], n)
+        steps, scored = steps + 1, scored + len(values)
+        # an illegal move scores the ascent's own value, so it never wins a step
+        table = np.repeat(value[live, None], len(moves), axis=1)
+        table[legal] = values
+        k = table.argmax(axis=1)  # first best move in (src, dst) order
+        up = np.flatnonzero(table[np.arange(len(live)), k] > value[live])
+        live = live[up]
+        current[live] = moved[up, k[up]]
+        value[live] = table[up, k[up]]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("local search: n %d, m %d, %d restarts, %d lockstep steps, %d rows scored "
+                   "in %s", n, m, len(current), steps, scored,
+                   "int64" if value.dtype == np.int64 else "object integers")
+    # the largest count, then the lexicographically smallest sizes
+    best = min(range(len(current)), key=lambda i: (-value[i], tuple(current[i])))
+    return tuple(int(v) for v in current[best]), int(value[best])
 
 
 @dataclass(frozen=True)

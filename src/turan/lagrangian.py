@@ -500,6 +500,8 @@ def maximize(
         raise InvalidArgumentError("tol must be positive")
     if max_iter < 0:
         raise InvalidArgumentError("max_iter must be >= 0")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     m = poly.m
     if starts is None:
         starts = max(50, 10 * m)

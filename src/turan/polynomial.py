@@ -586,6 +586,17 @@ class PolyKernel:
         prefix rows) a row replaces the best when it is greater, or equal and
         lexicographically smaller.
 
+        In the exact paths, the prefix rows of every product are bounded
+        first, once there is a running maximum.  M >= 0 entrywise (its entries
+        are monomials of nonnegative integers), so with u[T] = max_b Q[T, b]
+        over the tails of sum R, no score of prefix row a exceeds M[a] . u,
+        whatever the signs of the coefficients.  Only the rows whose bound is
+        >= the running maximum are multiplied: a row below it cannot become
+        the best, and a row that can tie it is still scored, so the tie rule
+        and the result are those of the full product.  M[a] . u adds
+        M[a, T] Q[T, b_T] over T, each a sum of term values at some row
+        (a, b_T), so every partial sum stays within the bound below.
+
         A partial sum of M @ Q adds some term values, so it is at most
         sum |c| * total**deg over the scaled coefficients c.  Below 2**53 the product runs
         in float64 (BLAS), exact on the integer factors; below 2**62, in int64.
@@ -598,7 +609,9 @@ class PolyKernel:
         additions than there are terms, in any summation order.  With
         coordinates in [0, 1], every float score is therefore within
         (terms + 2 deg) units of roundoff of sum |c_S| of its exact value, under
-        half the slack.  Each scan logs one DEBUG record.
+        half the slack; this path is never pruned.  Each scan logs one DEBUG
+        record: sizes, factor blocks, products and arithmetic, prefix rows
+        pruned, points scored and rows rescored.
         """
         count = _grid.composition_count(total, self.m)
         cap = effective_budget(budget)
@@ -618,7 +631,7 @@ class PolyKernel:
         firsts = np.flatnonzero(np.diff(np.cumsum(sizes) // block, prepend=-1)).tolist()
         best_float = -np.inf
         best = best_row = None
-        products = rescored = 0
+        products = rescored = pruned = scored = 0
         for lo, hi in zip(firsts, firsts[1:] + [total + 1]):
             # prefix sums total - hi + 1 .. total - lo, tail sums lo .. hi - 1
             p0, t0 = prefix_at[total - hi + 1], tail_at[lo]
@@ -629,12 +642,24 @@ class PolyKernel:
                 t1, t2 = tail_at[tail_sum] - t0, tail_at[tail_sum + 1] - t0
                 first, stop = prefix_at[total - tail_sum : total - tail_sum + 2] - p0
                 step = max(1, _SCAN_ELEMENTS // (t2 - t1))
+                bound = None if in_float else Q[:, t1:t2].max(axis=1)
                 for start in range(first, stop, step):
-                    scores = M[start : min(start + step, stop)] @ Q[:, t1:t2]
+                    end = min(start + step, stop)
+                    block_M, kept = M[start:end], None
+                    if bound is not None and best is not None:
+                        # M >= 0, so no score of row a exceeds M[a] . bound
+                        kept = np.flatnonzero(block_M @ bound >= best)
+                        pruned += end - start - len(kept)
+                        if not len(kept):
+                            continue
+                        block_M = block_M[kept]
+                    scores = block_M @ Q[:, t1:t2]
                     products += 1
+                    scored += scores.size
                     if not in_float:
                         i, j = divmod(int(np.argmax(scores)), t2 - t1)
-                        row = np.concatenate([a[start + i], b[t1 + j]])
+                        head = start + (i if kept is None else int(kept[i]))
+                        row = np.concatenate([a[head], b[t1 + j]])
                         value = int(scores[i, j])
                     else:
                         best_float = max(best_float, float(scores.max()))
@@ -651,9 +676,11 @@ class PolyKernel:
                         best, best_row = value, row
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("scan: total %d, m %d, split %d, stacked rows %d + %d, %d factor blocks, "
-                       "%d products in %s, %d rows rescored", total, self.m, split, len(prefixes),
-                       len(tails), len(firsts), products,
-                       "float filter" if in_float else f"exact {np.dtype(dtype)}", rescored)
+                       "%d products in %s, %d prefix rows pruned, %d of %d points scored, "
+                       "%d rows rescored", total, self.m, split, len(prefixes), len(tails),
+                       len(firsts), products,
+                       "float filter" if in_float else f"exact {np.dtype(dtype)}", pruned,
+                       scored, count, rescored)
         return best, best_row, scale
 
     def _factors(

@@ -597,6 +597,8 @@ def run_criteria(which: str = "all", seed: int = 0) -> list[tuple[str, CheckResu
     Returns one ``(criterion, line, seconds)`` triple per line, with the
     time since the criterion's previous line (or its start) was made.
     """
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if which == "all":
         names = list(CHECKS)
     elif which in CHECKS:

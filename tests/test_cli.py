@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -426,3 +430,27 @@ class TestErrorPaths:
         code, _, err = run(capsys, "cross-blowup", "--graph", base, "--pair", "x,y")
         assert code == 1
         assert json.loads(err)["error"] == "invalid-argument"
+
+    @pytest.mark.parametrize("command", [
+        ["lagrangian", "--graph", None],
+        ["extremal-count", "--t", "2", "--n", "12", "--mode", "local"],
+        ["extremal-count", "--t", "2", "--n", "12", "--mode", "exhaustive"],
+        ["verify", "--suite", "extremal-counts"],
+    ], ids=["lagrangian", "extremal-local", "extremal-exhaustive", "verify"])
+    def test_negative_seed(self, capsys, tmp_path, command):
+        base = write_graph(tmp_path, "k4.hg", Hypergraph.complete(3, 4))
+        argv = [base if arg is None else arg for arg in command]
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": "seed must be >= 0, got -1"}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "turan", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: turan") and "extremal-count" in proc.stdout

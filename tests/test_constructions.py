@@ -1,6 +1,7 @@
 """Blowups, crossing operations, the gamma family, counts, density curves."""
 
 import itertools
+import logging
 import random
 from fractions import Fraction
 from math import comb
@@ -31,6 +32,7 @@ from turan import (
     k_crossed_blowup,
     tight_cycle,
 )
+from turan import constructions, maximize
 from turan.constructions import _blowup_shadow_count
 from turan.polynomial import PolyKernel
 
@@ -391,6 +393,113 @@ class TestExtremalSearch:
     def test_unknown_mode(self):
         with pytest.raises(InvalidArgumentError):
             extremal_blowup_search(K4, 4, mode="annealing")
+
+
+def sequential_local_search(graph, n, seed):
+    """The local search one ascent at a time: restart 0 from the rounded
+    maximizer, then each perturbed restart drawn and climbed in turn."""
+    poly = MultilinearPoly.from_hypergraph(graph)
+    kernel = poly.kernel
+    m = graph.n
+    result = maximize(poly, starts=max(20, 5 * m), seed=seed)
+    target = result.maximizer.as_float_array() * n
+    rng = np.random.default_rng(seed)
+    src, dst = np.nonzero(~np.eye(m, dtype=bool))
+    unit = np.eye(m, dtype=np.int64)
+    moves = unit[dst] - unit[src]
+
+    def round_to_composition(weights):
+        floors = np.clip(np.floor(weights).astype(int), 0, None)
+        remainder = n - int(floors.sum())
+        order = np.argsort(-(weights - floors), kind="stable")
+        for idx in itertools.cycle(order):
+            if remainder == 0:
+                break
+            if remainder > 0:
+                floors[idx] += 1
+                remainder -= 1
+            elif floors[idx] > 0:
+                floors[idx] -= 1
+                remainder += 1
+        return [int(v) for v in floors]
+
+    def ascend(sizes):
+        current = np.array(sizes, dtype=np.int64)
+        value = kernel.exact_values(current[None, :], n)[0]
+        while True:
+            rows = (current + moves)[current[src] > 0]
+            if not len(rows):
+                break
+            values = kernel.exact_values(rows, n)
+            k = int(np.argmax(values))
+            if values[k] <= value:
+                break
+            current, value = rows[k], values[k]
+        return tuple(int(v) for v in current), int(value)
+
+    best_sizes, best_value = ascend(round_to_composition(target))
+    for _ in range(constructions._LOCAL_RESTARTS - 1):
+        noise = rng.normal(0.0, 0.75, size=m)
+        sizes, value = ascend(round_to_composition(np.clip(target + noise, 0, None)))
+        if value > best_value or (value == best_value and sizes < best_sizes):
+            best_sizes, best_value = sizes, value
+    return best_sizes, best_value
+
+
+LOCKSTEP_BASES = {f"gamma{t}": gamma(t) for t in (1, 2, 3, 4)} | {"C5": tight_cycle(5)} | {
+    f"random{v}": random_3graph(seed, v) for seed, v in ((4, 5), (5, 6), (6, 7), (7, 8))
+}
+
+
+class TestLockstepLocalSearch:
+    """All restarts climb together; each takes the same steps, and the search
+    the same answer, as the ascents run one at a time."""
+
+    @pytest.mark.parametrize("name", LOCKSTEP_BASES)
+    @pytest.mark.parametrize("n, seed", [(0, 0), (1, 3), (7, 0), (29, 1), (90, 2), (481, 5)])
+    def test_matches_sequential(self, name, n, seed):
+        base = LOCKSTEP_BASES[name]
+        got = extremal_blowup_search(base, n, mode="local", seed=seed)
+        assert got == sequential_local_search(base, n, seed)
+        assert all(type(v) is int for v in (*got[0], got[1]))
+
+    def test_object_integers(self, caplog):
+        # n**3 edge counts past the int64 bound are scored as Python integers
+        n = 10**7
+        with caplog.at_level(logging.DEBUG, logger="turan.constructions"):
+            got = extremal_blowup_search(gamma(2), n, mode="local")
+        assert got == sequential_local_search(gamma(2), n, 0)
+        assert got[1] == n**3 // 16 and type(got[1]) is int
+        (record,) = [r for r in caplog.records if r.name == "turan.constructions"]
+        assert record.getMessage().endswith(" in object integers")
+
+    def test_single_vertex_base(self):
+        # no unit transfer exists: every restart stops where it starts
+        base = Hypergraph(1, 1, [(0,)])
+        assert extremal_blowup_search(base, 5, mode="local") == ((5,), 5)
+
+    @pytest.mark.parametrize("n", [0, 48])
+    def test_debug_record(self, caplog, n):
+        with caplog.at_level(logging.DEBUG, logger="turan.constructions"):
+            extremal_blowup_search(gamma(2), n, mode="local")
+        (record,) = [r for r in caplog.records if r.name == "turan.constructions"]
+        message = record.getMessage()
+        assert message.startswith(f"local search: n {n}, m 6, 20 restarts, ")
+        assert message.endswith(" in int64")
+        steps = int(message.split(" lockstep steps")[0].rsplit(", ", 1)[1])
+        scored = int(message.split(" rows scored")[0].rsplit(", ", 1)[1])
+        # 20 start rows, then at most 30 unit transfers per restart and step
+        assert (steps, scored) == (0, 20) if n == 0 else 1 <= steps and 20 < scored <= 20 + 600 * steps
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="turan.constructions"):
+            extremal_blowup_search(gamma(2), 48, mode="local")
+        assert not [r for r in caplog.records if r.name == "turan.constructions"]
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "local"])
+    def test_negative_seed(self, mode):
+        with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -3"):
+            extremal_blowup_search(K4, 8, mode=mode, seed=-3)
 
 
 class TestExtremalProfiles:

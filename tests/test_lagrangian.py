@@ -308,6 +308,12 @@ class TestMaximizeStats:
         with pytest.raises(InvalidArgumentError):
             maximize(P_K4, max_iter=-1)
 
+    @pytest.mark.parametrize("poly", [P_K4, MultilinearPoly.zero(3)], ids=["K4", "zero"])
+    def test_negative_seed_rejected(self, poly):
+        # before numpy's generator would raise its own ValueError
+        with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -1"):
+            maximize(poly, seed=-1)
+
 
 def pool_graph(n):
     """The optimize workload's random n-vertex 3-graph, unrelabeled: drawn

@@ -535,14 +535,23 @@ class TestDerivativeBits:
             assert_same_bits(kernel._derivatives(X, order), reference_derivatives(kernel, X, order))
 
 
+def lex_compositions(total, m):
+    """Every composition of ``total`` into m parts, in lexicographic order,
+    by recursion on the first part."""
+    if m == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in lex_compositions(total - first, m - 1):
+            yield (first,) + rest
+
+
 def brute_force_scan(poly, total):
     """The lexicographically first maximum of the scaled integer values,
-    over itertools.product in lex order, with Python integers."""
+    over lex_compositions, with Python integers."""
     coefs, scale = poly.kernel.integer_coefficients(total)
     best = best_row = None
-    for row in itertools.product(range(total + 1), repeat=poly.m):
-        if sum(row) != total:
-            continue
+    for row in lex_compositions(total, poly.m):
         value = sum(
             c * math.prod(row[i] for i in s) for s, c in zip(poly.kernel.subsets, coefs)
         )
@@ -594,7 +603,11 @@ class TestScanDifferential:
                 got = kernel.scan(total, None, "test scan")
         assert got == brute_force_scan(poly, total)
         assert got[1] == (2, 2, 0, 0, 0)
-        assert f" products in {path}, " in caplog.records[-1].getMessage()
+        message = caplog.records[-1].getMessage()
+        assert f" products in {path}, " in message
+        # the bound M[a] . max_b Q[:, b] runs in the same arithmetic
+        pruned, scored, points = scan_counts(message)
+        assert pruned > 0 and scored < points
 
     @given(st.integers(1, 5), st.integers(0, 6), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -605,6 +618,98 @@ class TestScanDifferential:
             with mock.patch.object(PolyKernel, "fits_int64", return_value=in_int64):
                 got = PolyKernel(poly).scan(total, None, "test scan")
         assert got == (3, (0,) * (m - 1) + (total,), 1)
+
+
+def pruning_scan(poly, total, elements=1 << 20, in_int64=True):
+    """PolyKernel.scan with the given scan block size, in its exact paths
+    (in_int64) or its float filter, and the message of its DEBUG record."""
+    with (
+        mock.patch.object(polynomial, "_SCAN_ELEMENTS", elements),
+        mock.patch.object(PolyKernel, "fits_int64", return_value=in_int64),
+        mock.patch.object(polynomial, "_log") as log,
+    ):
+        got = PolyKernel(poly).scan(total, None, "test scan")
+    (fmt, *args), _ = log.debug.call_args
+    return got, fmt % tuple(args)
+
+
+def scan_counts(message):
+    """(prefix rows pruned, points scored, points) from a scan's DEBUG record."""
+    pruned = int(message.split(" prefix rows pruned")[0].rsplit(", ", 1)[1])
+    scored, _, points = message.split(" points scored")[0].rsplit(", ", 1)[1].split()[:3]
+    return pruned, int(scored), int(points)
+
+
+class TestScanPruning:
+    """The bound M[a] . max_b Q[:, b] prunes only rows that cannot reach the
+    running maximum: the pruned scan gives the brute-force answer."""
+
+    @given(
+        signed_polys(),
+        st.integers(0, 6),
+        st.booleans(),
+        st.sampled_from([1, 2, 5, 1 << 20]),
+    )
+    @example(MultilinearPoly(3, {(0, 1): 1, (1, 2): 1, (0, 2): -1}), 0, True, 1)
+    @example(MultilinearPoly.constant(2, -4), 5, False, 1)
+    # scores up to about 2**56: the exact path runs in int64
+    @example(MultilinearPoly(3, {(0, 1): 2**50 + 1, (1, 2): -(2**50), (0, 2): 2**49, (): 3}),
+             6, True, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, poly, total, in_int64, elements):
+        got, message = pruning_scan(poly, total, elements, in_int64)
+        assert got == brute_force_scan(poly, total)
+        pruned, scored, points = scan_counts(message)
+        assert points == math.comb(total + poly.m - 1, poly.m - 1)
+        if not in_int64:
+            assert (pruned, scored) == (0, points)
+        assert scored <= points
+
+    @pytest.mark.parametrize("elements", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("total", [0, 1, 4, 8, 12])
+    @pytest.mark.parametrize("coef", [1, 2**47 - 1])
+    def test_gamma2_segment_ties(self, coef, total, elements):
+        # gamma(2)'s optimum is a segment: many rows tie the maximum, and the
+        # lexicographically first of them must survive pruning (ub == best).
+        # Scores reach 12 * total**3 * coef: with coef = 2**47 - 1 the scan
+        # runs in int64 from total 4 on, about 2**61.3 at total 12
+        edges = MultilinearPoly.from_hypergraph(gamma(2))
+        poly = MultilinearPoly(6, {s: coef * c for s, c in edges.terms.items()})
+        got, message = pruning_scan(poly, total, elements)
+        assert got == brute_force_scan(poly, total)
+        if coef > 1 and total >= 4:
+            assert " products in exact int64, " in message
+        pruned, scored, points = scan_counts(message)
+        assert total < 8 or (pruned > 0 and scored < points)
+
+    @pytest.mark.parametrize("elements", [1, 1 << 20])
+    def test_tight_bound_tie_in_int64(self, elements):
+        # with m = 2 each tail sum has one tail, so the bound is the exact
+        # score; (3, 2) and then (2, 3) score 6A, about 2**59.6, and the
+        # second replaces the first only if its bound, equal to the running
+        # maximum, is computed exactly (float64 would round 6A down)
+        A = 2**57 + 1
+        poly = MultilinearPoly(2, {(0, 1): A})
+        got, message = pruning_scan(poly, 5, elements)
+        assert got == brute_force_scan(poly, 5) == (6 * A, (2, 3), 25)
+        assert " products in exact int64, " in message
+        assert scan_counts(message)[0] > 0
+
+    def test_gamma2_n60_scores_a_fifth_or_less(self, caplog):
+        kernel = MultilinearPoly.from_hypergraph(gamma(2)).kernel
+        with caplog.at_level(logging.DEBUG, logger="turan.polynomial"):
+            best, row, _ = kernel.scan(60, None, "test scan")
+        assert (best, row) == (13500, (15, 15, 0, 15, 15, 0))
+        (record,) = [r for r in caplog.records if r.name == "turan.polynomial"]
+        pruned, scored, points = scan_counts(record.getMessage())
+        assert points == 8_259_888 and pruned > 0 and scored <= points // 5
+
+    def test_float_filter_never_prunes(self):
+        poly = MultilinearPoly(3, {(0, 1): 2**70, (2,): 1})
+        got, message = pruning_scan(poly, 8, in_int64=False)
+        assert got == brute_force_scan(poly, 8)
+        assert " products in float filter, " in message
+        assert scan_counts(message)[:2] == (0, 45)
 
 
 class TestCompositions:
