@@ -226,7 +226,10 @@ def _kkt_residuals(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     """The KKT residual of every row of X, given its gradient row in G."""
     deviation = G - np.einsum("ij,ij->i", X, G)[:, None]
     active = X > _ACTIVE_EPS
-    return np.where(active, np.abs(deviation), np.clip(deviation, 0.0, None)).max(axis=1)
+    # np.clip(d, 0.0, None) and .max(axis=1) call these ufuncs, so the bits,
+    # the sign of a zero included, are theirs
+    inactive = np.maximum(deviation, 0.0)
+    return np.maximum.reduce(np.where(active, np.abs(deviation), inactive), axis=1)
 
 
 def _growth_step(X: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -237,7 +240,7 @@ def _growth_step(X: np.ndarray, G: np.ndarray) -> np.ndarray:
     and no row's value decreases.  A row with no growth direction stays.
     """
     W = X * G
-    total = W.sum(axis=1, keepdims=True)
+    total = np.add.reduce(W, axis=1, keepdims=True)
     return np.divide(W, total, out=X.copy(), where=total > 0)
 
 
@@ -277,10 +280,10 @@ def _growth_ascent(kernel: PolyKernel, X: np.ndarray, tol: float, max_iter: int)
                     G = kernel.gradients(X)
                     residuals = _kkt_residuals(X, G)
         converged = residuals <= tol
-        top = float(F.max())
+        top = float(np.maximum.reduce(F))
         if top > best + PLATEAU_RISE:
             best, risen_at = top, it
-        if converged.all():
+        if np.logical_and.reduce(converged):
             reason = "tol"
         elif it - risen_at >= PLATEAU_ITERATIONS:
             reason = "plateau"

@@ -375,19 +375,6 @@ def _term_sums(block: np.ndarray, subsets, coefs, dtype=None) -> np.ndarray:
     return out
 
 
-def _products(block: np.ndarray, others: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """coefs[k] * prod(block[:, others[k, j]] for j, left to right) at every
-    row, one gathered column at a time (the bits of ``np.prod`` on the
-    gathered (rows, terms, columns) array, then times the coefficients)."""
-    if not others.shape[1]:
-        return np.broadcast_to(coefs, (block.shape[0], coefs.size))
-    prod = block[:, others[:, 0]]
-    for j in range(1, others.shape[1]):
-        prod *= block[:, others[:, j]]
-    prod *= coefs
-    return prod
-
-
 class PolyKernel:
     """A polynomial compiled once into numpy index arrays.
 
@@ -398,10 +385,19 @@ class PolyKernel:
     first use and kept: for every (term, subset of that many positions), in
     degree-then-``combinations`` order, the product of the term's other
     variables, multiplied in one gathered column at a time and added in
-    that order with one ``bincount`` (its bins are kept too, grown to the
-    largest chunk seen; fewer rows use a prefix).  A single point
-    is a one-row batch, and a row's result does not depend on the batch
-    around it.  Exact:
+    that order with one ``bincount`` (its bins are kept too, one column per
+    row, grown to the largest chunk seen; fewer rows use the first columns).
+    A single point is a one-row batch.  A row's gradient and Hessian do not
+    depend on the batch around it, nor does its value in a batch of two or
+    more rows, which adds a row's terms in term order; a one-row batch adds
+    them pairwise (numpy's sum along a contiguous axis), which can differ in
+    the last bit.  The float methods call ``np.multiply.reduce``, ``np.add.reduce`` and
+    ``np.bincount`` directly, the ufuncs that ``np.prod`` and ``.sum`` call;
+    ``bincount`` reads the products in their memory order, and a batch that
+    fits in one chunk returns its reshaped ``bincount`` without a copy; and
+    coefficients that are all 1, as an edge polynomial's are, are not
+    multiplied in (x * 1.0 is x).  So they give the bits of the wrapper
+    forms.  Exact:
     :meth:`batch` scores integer rows one term column at a time, in int64
     or Python integers, so memory stays at a few row-length vectors.
     :meth:`rational_values` scores rational points scaled to integer rows,
@@ -427,6 +423,9 @@ class PolyKernel:
         for _, items in sorted(by_degree.items()):
             idx = np.array([s for s, _ in items], dtype=np.intp)
             self.groups.append((idx, np.array([c for _, c in items])))
+        self._value_width = sum(idx.size for idx, _ in self.groups)
+        # x * 1.0 is x, bit for bit, so unit coefficients are not multiplied in
+        self._unit_coefs = all((coefs == 1.0).all() for _, coefs in self.groups)
         # a float value at a point of [0, 1]^m is within half of this of the
         # exact value (see scan), so a farther one rules out equality
         magnitude = sum(abs(c) for c in self.float_coefs)
@@ -446,13 +445,14 @@ class PolyKernel:
     def values(self, X: np.ndarray) -> np.ndarray:
         """Float values at every row of an (S, m) array."""
         out = np.full(X.shape[0], self.constant)
-        width = sum(idx.size for idx, _ in self.groups)
-        for rows in self._chunks(X.shape[0], width):
-            block = X[rows]
+        for rows in self._chunks(X.shape[0], self._value_width):
+            block, part = X[rows], out[rows]
             for idx, coefs in self.groups:
-                # a row-wise sum adds each row's terms in one fixed order,
-                # whatever the row count; a matrix product does not
-                out[rows] += (np.prod(block[:, idx], axis=2) * coefs).sum(axis=1)
+                # the reductions np.prod and .sum call; a row-wise sum, unlike
+                # a matrix product, adds each row's terms in term order, whatever
+                # the other rows (a batch of one row is summed pairwise)
+                prod = np.multiply.reduce(block[:, idx], axis=2)
+                part += np.add.reduce(prod if self._unit_coefs else prod * coefs, axis=1)
         return out
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
@@ -474,22 +474,42 @@ class PolyKernel:
         i2 m**(order-2) + ...: each adds the product of the other variables
         of every term holding them, in table order, with one ``bincount``."""
         groups, targets, width = self._derivative_table(order)
-        size = self.m**order
-        out = np.zeros((X.shape[0], size))
-        if targets is None:
-            return out
-        for rows in self._chunks(X.shape[0], width):
+        count, size = X.shape[0], self.m**order
+        if targets is None or not count:
+            return np.zeros((count, size))
+        parts = []
+        for rows in self._chunks(count, width):
             block = X[rows]
             n = block.shape[0]
-            terms = np.concatenate([_products(block, *group) for group in groups], axis=1)
-            # row k's targets land in bins k*size .. k*size + size - 1, added
-            # in table order; the bins of n rows are a prefix of those of more
+            products = [self._products(block, *group) for group in groups]
+            terms = products[0] if len(products) == 1 else np.concatenate(products, axis=1)
+            # bincount reads the products term by term, the memory order of
+            # gathered columns, so ravel("F") copies nothing; row k's targets
+            # land in bins k*size .. k*size + size - 1, each added in table
+            # order; the (terms, rows) bins of n rows are the first n columns
+            # of those of more
             bins = self._derivative_bins.get(order)
-            if bins is None or bins.size < terms.size:
-                bins = (np.arange(n)[:, None] * size + targets).ravel()
+            if bins is None or bins.shape[1] < n:
+                bins = targets[:, None] + np.arange(n) * size
                 self._derivative_bins[order] = bins
-            out[rows] = np.bincount(bins[: terms.size], terms.ravel(), n * size).reshape(n, size)
-        return out
+            weights = terms.ravel("F")
+            parts.append(np.bincount(bins[:, :n].ravel(), weights, n * size).reshape(n, size))
+        # a batch of one chunk returns its bincount as it is
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _products(self, block: np.ndarray, others: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+        """coefs[k] * prod(block[:, others[k, j]] for j, left to right) at every
+        row, one gathered column at a time (the bits of ``np.prod`` on the
+        gathered (rows, terms, columns) array, then times the coefficients,
+        unless they are all 1)."""
+        if not others.shape[1]:
+            return np.broadcast_to(coefs, (block.shape[0], coefs.size))
+        prod = block[:, others[:, 0]]
+        for j in range(1, others.shape[1]):
+            prod *= block[:, others[:, j]]
+        if not self._unit_coefs:
+            prod *= coefs
+        return prod
 
     def _derivative_table(self, order: int):
         """For :meth:`_derivatives`, built on first use and kept: per degree

@@ -32,19 +32,28 @@ from turan import (
     tight_cycle,
     verify_segment,
 )
-from turan import _grid, lagrangian
+from turan import _grid, lagrangian, polynomial
 from turan.constructions import crossed_blowup, double_vertex, gamma_base
 from turan.lagrangian import (
     DEFAULT_TOL,
     _check_first_order_maximum,
     _concave_on_face,
     _growth_step,
+    _kkt_residuals,
     _merge_twins,
     profile_template,
 )
+from turan.polynomial import PolyKernel
 from turan.verify import permute_point
 
-from test_polynomial import plant_twin, random_signed_poly, random_weighted_poly
+from test_polynomial import (
+    BIT_POLYS,
+    assert_same_bits,
+    face_rows,
+    plant_twin,
+    random_signed_poly,
+    random_weighted_poly,
+)
 
 K4 = Hypergraph.complete(3, 4)
 P_K4 = MultilinearPoly.from_hypergraph(K4)
@@ -273,6 +282,51 @@ class TestGrowthAscent:
         # 92 and 64 batch steps at seed 0; a slower ascent shows here first
         stats = maximize(MultilinearPoly.from_hypergraph(graph)).stats
         assert stats.iterations <= bound
+
+
+def reference_kkt_residuals(X, G):
+    """Test-only reference: _kkt_residuals through the np.clip and .max wrappers."""
+    deviation = G - np.einsum("ij,ij->i", X, G)[:, None]
+    active = X > lagrangian._ACTIVE_EPS
+    return np.where(active, np.abs(deviation), np.clip(deviation, 0.0, None)).max(axis=1)
+
+
+def reference_growth_step(X, G):
+    """Test-only reference: _growth_step through the .sum wrapper."""
+    W = X * G
+    total = W.sum(axis=1, keepdims=True)
+    return np.divide(W, total, out=X.copy(), where=total > 0)
+
+
+class TestAscentKernelBits:
+    """_kkt_residuals and _growth_step, which call the ufunc reductions
+    directly, give the bits of the np.clip, .max and .sum wrappers."""
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunked"])
+    @pytest.mark.parametrize(
+        # from m = 9 up, numpy adds a row's x_i g_i pairwise
+        "poly", BIT_POLYS + [MultilinearPoly.from_hypergraph(gamma(6))],
+        ids=lambda p: f"r{p.degree()}m{p.m}t{len(p.terms)}",
+    )
+    def test_matches_reference(self, poly, chunked):
+        kernel = PolyKernel(poly)
+        rng = np.random.default_rng(poly.m)
+        for rows in (1, 2, 7, 40, 81):
+            for X in (face_rows(rng, rows, poly.m),
+                      rng.uniform(-1.5, 1.5, size=(rows, poly.m))):
+                with pytest.MonkeyPatch.context() as patch:
+                    if chunked:
+                        # gradients in chunks of 3 rows
+                        width = kernel._derivative_table(1)[2]
+                        patch.setattr(polynomial, "_CHUNK_ELEMENTS", 3 * max(width, 1))
+                    G = kernel.gradients(X)
+                if rows > 2:
+                    # x . g = 0, so the growth step leaves the row
+                    X[0], G[0, 0] = np.eye(poly.m)[0], 0.0
+                    # a zero row with -0.0 partials: deviations of -0.0
+                    X[1], G[1] = 0.0, -0.0
+                assert_same_bits(_kkt_residuals(X, G), reference_kkt_residuals(X, G))
+                assert_same_bits(_growth_step(X, G), reference_growth_step(X, G))
 
 
 class TestMaximizeStats:

@@ -501,11 +501,16 @@ EDGE_POLYS = [
 ]
 
 
+#: The bit tests' polynomials: unit coefficients (edge polynomials, whose
+#: kernels do not multiply them in), signed ones, and positive ones above 1.
+BIT_POLYS = EDGE_POLYS + SIGNED_POLYS + [Fraction(3, 2) * EDGE_POLYS[2]]
+
+
 class TestDerivativeBits:
     """Column products and kept bins give the reference's bits exactly."""
 
     @pytest.mark.parametrize(
-        "poly", EDGE_POLYS + SIGNED_POLYS, ids=lambda p: f"r{p.degree()}m{p.m}t{len(p.terms)}"
+        "poly", BIT_POLYS, ids=lambda p: f"r{p.degree()}m{p.m}t{len(p.terms)}"
     )
     def test_batches_grow_then_shrink(self, poly):
         kernel = PolyKernel(poly)
@@ -533,6 +538,60 @@ class TestDerivativeBits:
             assert_same_bits(got, reference_derivatives(kernel, X, order))
             # the bins kept for 4 rows regrow for a batch of 23 in one chunk
             assert_same_bits(kernel._derivatives(X, order), reference_derivatives(kernel, X, order))
+
+
+def reference_values(kernel, X):
+    """Test-only reference: the value kernel through the np.prod and .sum
+    wrappers, one np.prod over the gathered (rows, terms, columns) array per
+    degree group, times the coefficients, summed per row, over all rows at
+    once."""
+    out = np.full(X.shape[0], kernel.constant)
+    for idx, coefs in kernel.groups:
+        out += (np.prod(X[:, idx], axis=2) * coefs).sum(axis=1)
+    return out
+
+
+def face_rows(rng, rows, m):
+    """Dirichlet rows with about a third of their coordinates exactly 0."""
+    X = rng.dirichlet(np.ones(m), size=rows)
+    X[rng.random((rows, m)) < 1 / 3] = 0.0
+    return X
+
+
+class TestValueBits:
+    """The direct reductions of PolyKernel.values give the bits of the
+    np.prod and .sum wrappers."""
+
+    @pytest.mark.parametrize(
+        "poly", BIT_POLYS, ids=lambda p: f"r{p.degree()}m{p.m}t{len(p.terms)}"
+    )
+    def test_matches_reference(self, poly):
+        kernel = PolyKernel(poly)
+        rng = np.random.default_rng(poly.m)
+        for rows in (1, 2, 7, 40, 81, 1):
+            for X in (face_rows(rng, rows, poly.m),
+                      rng.uniform(-1.5, 1.5, size=(rows, poly.m))):
+                assert_same_bits(kernel.values(X), reference_values(kernel, X))
+
+    @pytest.mark.parametrize("poly", [EDGE_POLYS[2], EDGE_POLYS[5], SIGNED_POLYS[-1]],
+                             ids=["gamma(3)", "K8^5", "signed"])
+    def test_batch_straddles_chunks(self, poly):
+        kernel = PolyKernel(poly)
+        X = face_rows(np.random.default_rng(6), 23, poly.m)
+        with pytest.MonkeyPatch.context() as patch:
+            # chunks of 4, 4, ..., 4, 3 rows, each summed like a batch of its
+            # own; none has one row (see test_one_row_is_a_row_of_a_batch)
+            patch.setattr(polynomial, "_CHUNK_ELEMENTS", 4 * kernel._value_width)
+            got = kernel.values(X)
+        assert_same_bits(got, reference_values(kernel, X))
+
+    @pytest.mark.xfail(strict=True, reason="a one-row batch sums its terms pairwise, a batch "
+                       "of more rows in term order; they differ in the last bit")
+    def test_one_row_is_a_row_of_a_batch(self):
+        kernel = PolyKernel(EDGE_POLYS[2])
+        X = np.random.default_rng(1).dirichlet(np.ones(kernel.m), size=40)
+        batch = kernel.values(X)
+        assert_same_bits(np.concatenate([kernel.values(x[None]) for x in X]), batch)
 
 
 def lex_compositions(total, m):
