@@ -282,7 +282,9 @@ def check_homomorphism_lemmas(seed: int = 0) -> list[CheckResult]:
         head = set(range(t))
         cross = ({t, t + 3}, {t + 1, t + 2})
         endos = enumerate_endomorphisms(graph)
-        ok = True
+        # the automorphism group orders: a missed map fails the line
+        order = 8 if t == 2 else 4 * math.factorial(t - 1)
+        ok = len(endos) == order
         for phi in endos:
             images = phi.images
             if len(set(images)) != graph.n:
@@ -300,8 +302,8 @@ def check_homomorphism_lemmas(seed: int = 0) -> list[CheckResult]:
         out.append(
             _result(
                 f"all {len(endos)} endomorphisms of gamma({t}) are rigid automorphisms",
-                ok and len(endos) > 0,
-                f"{len(endos)} endomorphisms",
+                ok,
+                f"{len(endos)} endomorphisms, group order {order}",
             )
         )
     for t in (2, 3, 4):

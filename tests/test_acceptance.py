@@ -14,6 +14,7 @@ import pytest
 from turan import verify
 from turan.common import PreconditionError
 from turan.constructions import blowup_edge_count, double_vertex
+from turan.homomorphism import enumerate_endomorphisms
 from turan.hypergraph import Hypergraph
 from turan.verify import CHECKS
 
@@ -90,6 +91,25 @@ class TestExactPropertyLines:
         assert [r.name for r in results] == names
         assert [r.name for r in results if not r.passed] == [
             name for name in names if name.startswith("pair averaging is monotone")
+        ]
+
+
+class TestHomomorphismLemmaLines:
+    def test_a_missed_map_fails_its_line(self, monkeypatch):
+        # every map left is a rigid automorphism; only the group order check
+        # sees that one is gone
+        def one_short(graph):
+            return enumerate_endomorphisms(graph)[:-1]
+
+        monkeypatch.setattr(verify, "enumerate_endomorphisms", one_short)
+        results = verify.check_homomorphism_lemmas(seed=0)
+        failed = [r.detail for r in results if not r.passed]
+        assert failed == [
+            "7 endomorphisms, group order 8",
+            "7 endomorphisms, group order 8",
+            "23 endomorphisms, group order 24",
+            "95 endomorphisms, group order 96",
+            "479 endomorphisms, group order 480",
         ]
 
 

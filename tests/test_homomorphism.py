@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import math
 from math import comb
 from unittest import mock
 
@@ -256,18 +257,22 @@ class TestEnumerate:
             enumerate_endomorphisms(graph, limit=-1)
 
 
-def search_modes(graph):
-    """Whether each ``_search`` call of ``enumerate_endomorphisms`` ran in
-    injective mode."""
+def search_modes(graph, limit=1_000_000):
+    """The path each ``_search`` call of ``enumerate_endomorphisms`` took
+    ("cosets", "injective" or "general"), with the images it listed, or
+    with the partial list when the limit is hit."""
     modes = []
     real = homomorphism._search
 
-    def spy(*args, classes=None):
-        modes.append(classes is not None)
-        return real(*args, classes=classes)
+    def spy(*args, classes=None, cosets=False):
+        modes.append("cosets" if cosets else "general" if classes is None else "injective")
+        return real(*args, classes=classes, cosets=cosets)
 
     with mock.patch.object(homomorphism, "_search", spy):
-        maps = enumerate_endomorphisms(graph)
+        try:
+            maps = enumerate_endomorphisms(graph, limit)
+        except BudgetExceededError as err:
+            maps = err.partial
     return [phi.images for phi in maps], modes
 
 
@@ -279,12 +284,21 @@ def random_two_covered(rng, r, n):
 
 
 class TestEndomorphismsAsAutomorphisms:
-    """Two-covered graphs enumerate their endomorphisms in injective mode."""
+    """Two-covered graphs list their endomorphisms by stabilizer cosets: the
+    same list as the index-order injective search and the oracles."""
 
     def oracle(self, graph):
         if graph.n <= 6:
             return brute_force_homomorphisms(graph, graph)
         return backtrack_homomorphisms(graph, graph)
+
+    def check(self, graph, oracle=True):
+        got, modes = search_modes(graph)
+        assert modes == ["cosets"]
+        assert got == unseeded_injective(graph, graph, list(range(graph.n)))
+        if oracle:
+            assert got == self.oracle(graph)
+        return got
 
     def test_backtrack_oracle_matches_brute_force(self):
         rng = np.random.default_rng(80)
@@ -301,19 +315,20 @@ class TestEndomorphismsAsAutomorphisms:
         for n in range(r, 8):
             # K_n is the only two-covered 2-graph
             for _ in range(1 if r == 2 or n == 7 else 3):
-                graph = random_two_covered(rng, r, n)
-                got, modes = search_modes(graph)
-                assert modes == [True]
-                assert got == self.oracle(graph)
+                self.check(random_two_covered(rng, r, n))
 
-    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
     def test_gamma_relabelings(self, t):
         rng = np.random.default_rng(90 + t)
         graph = gamma(t).relabel(tuple(int(v) for v in rng.permutation(t + 4)))
-        got, modes = search_modes(graph)
-        assert modes == [True]
-        assert got == self.oracle(graph)
-        assert len(got) == {2: 8, 3: 8, 4: 24}[t]
+        # gamma(6) has ten vertices, too many for the backtracking oracle
+        got = self.check(graph, oracle=t <= 5)
+        assert len(got) == (8 if t == 2 else 4 * math.factorial(t - 1))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_complete_graphs(self, n):
+        got = self.check(Hypergraph.complete(3, n))
+        assert got == list(itertools.permutations(range(n)))
 
     @pytest.mark.parametrize(
         "graph, folds",
@@ -325,18 +340,20 @@ class TestEndomorphismsAsAutomorphisms:
         # bijective, but its pair {0, 1} lies in no edge
         assert not graph.is_two_covered()
         got, modes = search_modes(graph)
-        assert modes == [False]
+        assert modes == ["general"]
         assert got == brute_force_homomorphisms(graph, graph)
         assert any(len(set(images)) < graph.n for images in got) == folds
 
-    def test_limit_partial_is_lex_first(self):
-        perms = list(itertools.permutations(range(4)))
-        assert [m.images for m in enumerate_endomorphisms(K4)] == perms
-        assert [m.images for m in enumerate_endomorphisms(K4, limit=24)] == perms
-        for k in range(24):
+    @pytest.mark.parametrize("graph", [K4, gamma(3)], ids=["K4", "gamma3"])
+    def test_limit_partial_is_lex_first(self, graph):
+        full = self.check(graph)
+        assert [m.images for m in enumerate_endomorphisms(graph, limit=len(full))] == full
+        for k in range(len(full)):
             with pytest.raises(BudgetExceededError) as err:
-                enumerate_endomorphisms(K4, limit=k)
-            assert [m.images for m in err.value.partial] == perms[:k]
+                enumerate_endomorphisms(graph, limit=k)
+            assert [m.images for m in err.value.partial] == full[:k]
+            # above the limit, the index-order injective search lists the partial
+            assert search_modes(graph, limit=k) == (full[:k], ["cosets", "injective"])
 
     @pytest.mark.parametrize(
         "graph",
@@ -352,7 +369,7 @@ class TestEndomorphismsAsAutomorphisms:
     )
     def test_tiny_cases(self, graph):
         got, modes = search_modes(graph)
-        assert modes == [graph.n <= 1]
+        assert modes == ["cosets" if graph.n <= 1 else "general"]
         assert got == brute_force_homomorphisms(graph, graph)
 
 
@@ -669,14 +686,52 @@ class TestDebugLog:
         assert not caplog.records
 
     @pytest.mark.parametrize(
-        "t, nodes", [(3, 38), (4, 117), (5, 472), (6, 2365)]
+        "t, orbits, searches, nodes",
+        [
+            (3, [2, 1, 1, 4, 1, 1, 1], 4, 26),
+            (4, [3, 2, 1, 1, 4, 1, 1, 1], 6, 43),
+            (5, [4, 3, 2, 1, 1, 4, 1, 1, 1], 9, 71),
+            (6, [5, 4, 3, 2, 1, 1, 4, 1, 1, 1], 13, 112),
+        ],
     )
-    def test_two_covered_endomorphisms(self, caplog, t, nodes):
-        # degree classes expand 63, 232, 1,093 and 6,276 nodes here
+    def test_two_covered_endomorphisms(self, caplog, t, orbits, searches, nodes):
+        # the index-order injective search expands 38, 117, 472 and 2,365
+        # nodes here; link profiles are gamma(t)'s orbits, so every first
+        # hit is found
         n = t + 4
+        assert math.prod(orbits) == 4 * math.factorial(t - 1)
         assert self.records(caplog, lambda: enumerate_endomorphisms(gamma(t))) == [
-            "endomorphisms: two-covered, injective search",
-            f"search: injective, 3 seed classes, {comb(n, 3)} r-sets listed, {nodes} nodes",
+            "endomorphisms: two-covered, coset search",
+            f"search: cosets, 3 seed classes, {comb(n, 3)} r-sets listed, "
+            f"{searches} first-hit searches, 0 found nothing, {nodes} nodes",
+            f"cosets: orbit sizes {orbits}, group order {math.prod(orbits)}",
+        ]
+
+    def test_first_hit_that_finds_nothing(self, caplog):
+        # 0 and 4 share a link profile, as do 1 and 3; the one automorphism
+        # besides the identity swaps both pairs, so with 0 fixed the first-hit
+        # search for 1 -> 3 finds nothing
+        graph = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 3, 4),
+                                  (1, 3, 4), (2, 3, 4)])
+        assert self.records(caplog, lambda: enumerate_endomorphisms(graph)) == [
+            "endomorphisms: two-covered, coset search",
+            "search: cosets, 3 seed classes, 10 r-sets listed, "
+            "2 first-hit searches, 1 found nothing, 12 nodes",
+            "cosets: orbit sizes [2, 1, 1, 1, 1], group order 2",
+        ]
+        got = [m.images for m in enumerate_endomorphisms(graph)]
+        assert got == brute_force_homomorphisms(graph, graph)
+
+    def test_limit_below_the_group_order(self, caplog):
+        with pytest.raises(BudgetExceededError):
+            self.records(caplog, lambda: enumerate_endomorphisms(gamma(3), limit=5))
+        assert [r.getMessage() for r in caplog.records] == [
+            "endomorphisms: two-covered, coset search",
+            "search: cosets, 3 seed classes, 35 r-sets listed, "
+            "4 first-hit searches, 0 found nothing, 26 nodes",
+            "cosets: orbit sizes [2, 1, 1, 4, 1, 1, 1], group order 8",
+            "cosets: group order above the limit of 5, index-order search",
+            "search: injective, 3 seed classes, 35 r-sets listed, 30 nodes",
         ]
 
     def test_general_search(self, caplog):
