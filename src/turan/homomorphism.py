@@ -2,18 +2,39 @@
 
 A homomorphism maps each edge onto an edge *as a set of r distinct
 vertices*: maps collapsing an edge are rejected.  Search assigns the
-source vertices in a fixed order (decreasing degree for existence
-queries, index order for enumeration) and keeps, for every unassigned
-vertex, a bitmask domain of the target vertices it may still take.
-Forward checking narrows those domains after each assignment: a vertex
-sharing a covered pair with the assigned one keeps only target vertices
-adjacent to its image, and the last vertex of an edge whose other r-1
-vertices are assigned keeps only the vertices completing their images to
-a target edge.  A branch is cut as soon as a domain empties.  Candidates
-are tried in ascending order, so enumeration stays lexicographic, and
-``nodes_expanded`` counts the candidate assignments tried.  Isomorphism
-runs the same search in injective mode, which also clears each image from
-later domains and sends the source's non-edges onto target non-edges.
+source vertices in a fixed order (decreasing degree, on the twin quotient
+below, for existence queries; index order for enumeration) and keeps, for
+every unassigned vertex, a bitmask domain of the target vertices it may
+still take.  Forward checking narrows those domains after each
+assignment: a vertex sharing a covered pair with the assigned one keeps
+only target vertices adjacent to its image, and the last vertex of an edge
+whose other r-1 vertices are assigned keeps only the vertices completing
+their images to a target edge.  A branch is cut as soon as a domain
+empties.  Candidates are tried in ascending order, so enumeration stays
+lexicographic, and ``nodes_expanded`` counts the candidate assignments
+tried.  Isomorphism runs the same search in injective mode, which also
+clears each image from later domains and sends the source's non-edges onto
+target non-edges.
+
+Existence queries (``search_homomorphism`` and so ``find_homomorphism``,
+``is_colorable`` and ``in_family_FM``) search a smaller source.  Twins,
+vertices of equal link, never share an edge, and the source is the blowup
+of the graph Q it induces on one vertex per twin class: an r-set meeting
+each class at most once is an edge exactly when its projection, each
+vertex sent to its class's representative, is one.  So the projection and
+the inclusion of Q are homomorphisms, Q is a retract of the source, and a
+homomorphism to any target exists exactly when one exists from Q (Hell &
+Nesetril, 2004); Q's map, composed with the projection, is the source's.
+Twins of Q would be twins of its blowup, so one round leaves none.  In Q,
+u and v are clones when swapping them is an automorphism; clones form
+classes, and permuting the images within a class keeps a homomorphism one.
+Two clones in no common edge would have equal links, so twin-freeness
+makes every clone pair covered, and then their images differ.  Sorting
+each class's images thus turns any homomorphism of Q into one whose images
+strictly increase along each class in search order, and the search keeps
+only those.  Twins also swap, but they may need equal images (a blowup of
+K4 has no other map into K4), so the strict order would cut every map;
+that is why twins collapse first.
 
 Endomorphisms of a two-covered graph (every vertex pair in some edge) run
 in injective mode too.  Each pair lies in an edge, whose image has r
@@ -43,10 +64,10 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .common import BudgetExceededError, InvalidArgumentError, SizeLimitError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _links, _swappable
 
 _log = logging.getLogger(__name__)
 
@@ -76,6 +97,14 @@ class VertexMap:
             )
         if images and (min(images) < 0 or max(images) >= self.to_n):
             raise InvalidArgumentError("image vertex out of range")
+
+    @classmethod
+    def _trusted(cls, from_n: int, to_n: int, images: tuple[int, ...]) -> "VertexMap":
+        """A map whose images the library built itself: a tuple of ``from_n``
+        ints in ``0 .. to_n-1``, so ``__post_init__``'s checks are skipped."""
+        vm = object.__new__(cls)
+        vm.__dict__.update(from_n=from_n, to_n=to_n, images=images)
+        return vm
 
     def __call__(self, v: int) -> int:
         return self.images[v]
@@ -133,6 +162,7 @@ def _search(
     *,
     classes: list[int] | None = None,
     cosets: bool = False,
+    clones: list[int] | None = None,
 ) -> int:
     """Forward-checking backtracking over the given vertex order.
 
@@ -151,6 +181,11 @@ def _search(
     solution, the lex-first automorphism fixing 0..p-1 with p -> j; the
     walk then goes on with the next candidate.  ``on_solution`` receives
     the identity and each such first hit and is expected to return False.
+
+    ``clones`` gives each position the next position of its clone chain, or
+    0 (no chain continues at the root); that position then keeps only
+    target vertices above the image just assigned.  The caller reports the
+    search, so no record is logged.
     """
     r = source.r
     size = len(order)
@@ -159,10 +194,12 @@ def _search(
     # link[mask]: vertices completing the (r-1)-set ``mask`` to an edge
     adj = [0] * target.n
     link: dict[int, int] = {}
-    for bit, rest in _edge_splits(target):
-        adj[bit.bit_length() - 1] |= rest
-        link[rest] = link.get(rest, 0) | bit
+    for w, rests in enumerate(_links(target)):
+        for rest in rests:
+            adj[w] |= rest
+            link[rest] = link.get(rest, 0) | 1 << w
     domains = [(1 << target.n) - 1] * size
+    follows = clones or [0] * size
     # later positions sharing a covered pair with each position
     pair_sets: list[set[int]] = [set() for _ in order]
     closed = [tuple(sorted(position[v] for v in e)) for e in source.edges]
@@ -212,6 +249,7 @@ def _search(
         neighbours = later[pos]
         distinct = apart[pos]
         closing = edges_at[pos]
+        follow = follows[pos]
         d = doms[pos]
         on_spine = pos == spine
         if on_spine:
@@ -222,6 +260,9 @@ def _search(
             d ^= bit
             nodes += 1
             narrowed = doms[:]
+            if follow:
+                # a clone pair is covered, so ``neighbours`` checks it below
+                narrowed[follow] &= -(bit << 1)
             for q in distinct:
                 narrowed[q] &= ~bit
             near = adj[bit.bit_length() - 1]
@@ -255,7 +296,8 @@ def _search(
         attempt(0, domains)
     if _log.isEnabledFor(logging.DEBUG):
         if classes is None:
-            _log.debug("search: general, %d nodes", nodes)
+            if clones is None:
+                _log.debug("search: general, %d nodes", nodes)
         elif cosets:
             _log.debug("search: cosets, %d seed classes, %d r-sets listed, %d first-hit searches,"
                        " %d found nothing, %d nodes",
@@ -267,26 +309,80 @@ def _search(
 
 
 def search_homomorphism(source: Hypergraph, target: Hypergraph) -> HomSearchResult:
-    """First homomorphism found (deterministic order), with node count."""
+    """First homomorphism found, with node count; None exactly when there is none.
+
+    The search runs on the twin quotient of ``source`` (see the module
+    docstring), in decreasing-degree order of the quotient, ties by index,
+    and keeps only maps whose images increase along each clone chain.  The
+    map returned is the least of those in that order, sent back to
+    ``source`` along the projection: each vertex takes the image of its
+    twin class's representative.
+    """
     if source.n == 0:
         return HomSearchResult(VertexMap(0, target.n, ()), 0)
-    if not source.edges and target.n >= 1:
+    if not len(source) and target.n >= 1:
         # edge constraints are vacuous; send everything to vertex 0
         return HomSearchResult(VertexMap(source.n, target.n, (0,) * source.n), 0)
     if source.r != target.r or target.n == 0:
         return HomSearchResult(None, 0)
-    degrees = source.degrees()
-    order = sorted(range(source.n), key=lambda v: (-degrees[v], v))
+    quotient, project = _twin_quotient(source)
+    degrees = quotient.degrees()
+    order = sorted(range(quotient.n), key=lambda v: (-degrees[v], v))
+    follows, chains = _clone_chains(quotient, order)
     found: list[tuple[int, ...]] = []
-
-    def record(images: tuple[int, ...]) -> bool:
-        found.append(images)
-        return False
-
-    nodes = _search(source, target, order, record)
+    # list.append returns None, so the search stops at the first solution
+    nodes = _search(quotient, target, order, found.append, clones=follows)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("search: general, %d vertices in %d twin classes, %d clone chains, %d nodes",
+                   source.n, quotient.n, chains, nodes)
     if found:
-        return HomSearchResult(VertexMap(source.n, target.n, found[0]), nodes)
+        images = found[0]
+        lifted = tuple([images[c] for c in project])
+        return HomSearchResult(VertexMap._trusted(source.n, target.n, lifted), nodes)
     return HomSearchResult(None, nodes)
+
+
+def _twin_quotient(graph: Hypergraph) -> tuple[Hypergraph, list[int]]:
+    """The graph induced on the lowest member of each twin class, and each
+    vertex's image in it (``induced`` keeps the order, so class k becomes
+    vertex k).  One round leaves no twins (see the module docstring)."""
+    classes = graph.twin_classes()
+    project = [0] * graph.n
+    for k, members in enumerate(classes):
+        for v in members:
+            project[v] = k
+    if len(classes) == graph.n:
+        return graph, project
+    return graph.induced(members[0] for members in classes), project
+
+
+def _clone_chains(graph: Hypergraph, order: list[int]) -> tuple[list[int], int]:
+    """For each search position, the next position of its clone class, or
+    0; and the number of classes with more than one member.
+
+    u and v are clones when swapping them is an automorphism.  Clones have
+    equal degrees, and cloning is an equivalence, so each vertex is
+    compared with one member of each class of its degree.
+    """
+    links = _links(graph)
+    groups: dict[int, list[list[int]]] = {}
+    for v in order:
+        classes = groups.setdefault(len(links[v]), [])
+        for members in classes:
+            if _swappable(links, members[0], v):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    position = {v: k for k, v in enumerate(order)}
+    follows = [0] * len(order)
+    chains = 0
+    for classes in groups.values():
+        for members in classes:
+            chains += len(members) > 1
+            for u, v in zip(members, members[1:]):
+                follows[position[u]] = position[v]
+    return follows, chains
 
 
 def find_homomorphism(source: Hypergraph, target: Hypergraph) -> Optional[VertexMap]:
@@ -358,7 +454,7 @@ def enumerate_endomorphisms(graph: Hypergraph, limit: int = 1_000_000) -> list[V
     for reps in reversed(transversals):
         group += [tuple([g[w] for w in s]) for g in reps for s in group]
     group.sort()
-    return [VertexMap(graph.n, graph.n, images) for images in group]
+    return [VertexMap._trusted(graph.n, graph.n, images) for images in group]
 
 
 def _enumerate(
@@ -372,7 +468,7 @@ def _enumerate(
     out: list[VertexMap] = []
 
     def record(images: tuple[int, ...]) -> bool:
-        out.append(VertexMap(source.n, target.n, images))
+        out.append(VertexMap._trusted(source.n, target.n, images))
         # allow one extra solution so exactly-limit enumerations finish cleanly
         return limit is None or len(out) <= limit
 
@@ -386,22 +482,10 @@ def _enumerate(
     return out
 
 
-def _edge_splits(graph: Hypergraph) -> Iterator[tuple[int, int]]:
-    """(1 << v, mask of the rest) for each vertex v of each edge."""
-    for mask in graph.edge_masks:
-        left = mask
-        while left:
-            bit = left & -left
-            left ^= bit
-            yield bit, mask ^ bit
-
-
 def _link_profiles(graph: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
     """Each vertex's degree and sorted |link(v) & link(u)| over u != v,
     with links held as sets of (r-1)-set masks (see the module docstring)."""
-    links: list[set[int]] = [set() for _ in range(graph.n)]
-    for bit, rest in _edge_splits(graph):
-        links[bit.bit_length() - 1].add(rest)
+    links = _links(graph)
     return [
         (len(mine), tuple(sorted(len(mine & other) for u, other in enumerate(links) if u != v)))
         for v, mine in enumerate(links)

@@ -249,9 +249,22 @@ class Hypergraph(Frozen):
                 f"symmetric pairs are defined for 3-graphs, got r={self.r}"
             )
         v1, v2 = _check_pair(pair, self.n)
-        left = {e for e in self.link(v1).edges if v2 not in e}
-        right = {e for e in self.link(v2).edges if v1 not in e}
-        return left == right
+        return _swappable(_links(self), v1, v2)
+
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices grouped into twin classes, ordered by lowest member.
+
+        u and v are twins when their links, the sets of (r-1)-sets
+        completing them to an edge, are equal.  A link never holds its own
+        vertex, so no edge holds two twins, and moving any vertices of an
+        edge to twins of theirs gives an edge: the graph induced on one
+        vertex per class is a retract.  Classes are found by hashing links
+        of (r-1)-set bitmasks; vertices in no edge form one class.
+        """
+        classes: dict[frozenset, list[int]] = {}
+        for v, link in enumerate(_links(self)):
+            classes.setdefault(frozenset(link), []).append(v)
+        return tuple(tuple(members) for members in classes.values())
 
     def induced(self, vertices: Iterable[int]) -> "Hypergraph":
         """Induced subgraph on ``vertices``, relabeled 0..k-1 preserving order."""
@@ -426,6 +439,25 @@ def _plain_rows(block: np.ndarray, ends: np.ndarray, r: int, limit: int):
         ok[drops[drops % r != 0] // r] = False
         good[full] &= ok
     return counts, values, good
+
+
+def _links(graph: Hypergraph) -> list[set[int]]:
+    """Each vertex's link: the (r-1)-sets completing it to an edge, as bitmasks."""
+    links: list[set[int]] = [set() for _ in range(graph.n)]
+    for mask in graph.edge_masks:
+        left = mask
+        while left:
+            bit = left & -left
+            left ^= bit
+            links[bit.bit_length() - 1].add(mask ^ bit)
+    return links
+
+
+def _swappable(links: list[set[int]], u: int, v: int) -> bool:
+    """Whether link(u) - v = link(v) - u, so swapping u and v fixes the
+    graph: every set in just one of the two links holds u or v."""
+    both = 1 << u | 1 << v
+    return all(m & both for m in links[u] ^ links[v])
 
 
 def _has_clique(graph: Hypergraph, size: int) -> bool:

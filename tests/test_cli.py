@@ -225,7 +225,9 @@ class TestColorableCommand:
         f = write_graph(tmp_path, "f.hg", Hypergraph.complete(3, 5))
         g = write_graph(tmp_path, "g.hg", gamma(2))
         _, out, _ = run(capsys, "colorable", "--graph", f, "--target", g)
-        assert json.loads(out) == {"found": False, "map": None, "nodes_expanded": 156}
+        # K5's vertices are clones, so images increase in search order: 156
+        # nodes without that order
+        assert json.loads(out) == {"found": False, "map": None, "nodes_expanded": 35}
 
 
 class TestFeasibleRegionCommand:

@@ -57,17 +57,17 @@ def brute_force_homomorphisms(source, target):
     ]
 
 
-def backtrack_homomorphisms(source, target):
+def backtrack_maps(source, target):
     """Independent oracle: extend maps vertex by vertex in index order and
-    check each edge once its largest vertex is mapped (no domains)."""
+    check each edge once its largest vertex is mapped (no domains); yields
+    the maps in lexicographic image order."""
     target_edges = set(target.edges)
     closing = [[e for e in source.edges if e[-1] == v] for v in range(source.n)]
-    out = []
 
     def extend(images):
         v = len(images)
         if v == source.n:
-            out.append(tuple(images))
+            yield tuple(images)
             return
         for w in range(target.n):
             images.append(w)
@@ -76,11 +76,90 @@ def backtrack_homomorphisms(source, target):
                 and tuple(sorted(images[u] for u in e)) in target_edges
                 for e in closing[v]
             ):
-                extend(images)
+                yield from extend(images)
             images.pop()
 
-    extend([])
-    return out
+    yield from extend([])
+
+
+def backtrack_homomorphisms(source, target):
+    return list(backtrack_maps(source, target))
+
+
+def has_hom_oracle(source, target):
+    """Independent oracle: ``backtrack_maps`` on ``source`` relabelled so that
+    each vertex shares the most pairs of edges with the vertices before it,
+    which closes edges early."""
+    placed = []
+    while len(placed) < source.n:
+        rest = [v for v in range(source.n) if v not in placed]
+        placed.append(max(rest, key=lambda v: sum(len(set(e) & set(placed)) for e in source.edges
+                                                   if v in e)))
+    perm = [0] * source.n
+    for k, v in enumerate(placed):
+        perm[v] = k
+    return next(backtrack_maps(source.relabel(perm), target), None) is not None
+
+
+def twin_quotient_oracle(graph):
+    """Independent oracle: collapse every vertex to the lowest vertex of
+    equal link, relabel in order, repeat until no two links are equal.
+    Returns the quotient and each source vertex's image in it."""
+    project = list(range(graph.n))
+    while True:
+        links = [{tuple(w for w in e if w != v) for e in graph.edges if v in e}
+                 for v in range(graph.n)]
+        reps = [min(u for u in range(graph.n) if links[u] == links[v]) for v in range(graph.n)]
+        keep = sorted(set(reps))
+        if len(keep) == graph.n:
+            return graph, project
+        index = {v: k for k, v in enumerate(keep)}
+        project = [index[reps[v]] for v in project]
+        graph = Hypergraph(graph.r, len(keep), [tuple(index[v] for v in e)
+                                                for e in graph.edges if set(e) <= index.keys()])
+
+
+def search_order_oracle(graph):
+    degrees = [sum(v in e for e in graph.edges) for v in range(graph.n)]
+    return sorted(range(graph.n), key=lambda v: (-degrees[v], v))
+
+
+def first_map_oracle(source, target):
+    """The first map ``search_homomorphism`` must return, by exhaustion: of
+    the twin quotient's homomorphisms, those increasing in search order on
+    every pair that swapping fixes the quotient, the least in search order,
+    lifted to ``source``; None when there is none."""
+    quotient, project = twin_quotient_oracle(source)
+    order = search_order_oracle(quotient)
+
+    def swaps(u, v):
+        perm = list(range(quotient.n))
+        perm[u], perm[v] = v, u
+        return quotient.relabel(perm) == quotient
+
+    pairs = [(u, v) for u, v in itertools.combinations(order, 2) if swaps(u, v)]
+    maps = [images for images in backtrack_maps(quotient, target)
+            if all(images[u] < images[v] for u, v in pairs)]
+    if not maps:
+        return None
+    best = min(maps, key=lambda images: [images[v] for v in order])
+    return tuple(best[c] for c in project)
+
+
+def planted_source(rng, r):
+    """A blowup (parts 1-3, randomly relabelled) of a random base whose last
+    k >= r vertices span a complete r-graph and meet the others alike, so
+    any two of them swap."""
+    m, k = int(rng.integers(0, 3)), int(rng.integers(r, r + 2))
+    others, clones = range(m), range(m, m + k)
+    edges = [e for e in itertools.combinations(others, r) if rng.random() < 0.5]
+    for size in range(1, r + 1):
+        for rest in itertools.combinations(others, r - size):
+            if size == r or rng.random() < 0.5:
+                edges += [rest + b for b in itertools.combinations(clones, size)]
+    base = Hypergraph(r, m + k, edges)
+    big = blowup(BlowupSpec(base, tuple(int(x) for x in rng.integers(1, 4, m + k))))
+    return base, big.relabel(rng.permutation(big.n).tolist())
 
 
 def random_graph(rng, r, n, density):
@@ -131,34 +210,25 @@ class TestFindHomomorphism:
         assert set(data) == {"found", "map", "nodes_expanded"}
 
 
-    def test_full_tree_nodes_below_index_order_scan(self):
-        # an index-order scan of every target vertex expands 942, 5096 and
-        # 34312 nodes here; forward checking must cut strictly below that
-        for t, scan in ((2, 942), (3, 5096), (4, 34312)):
-            result = search_homomorphism(Hypergraph.complete(3, t + 3), gamma(t))
-            assert not result.found
-            assert 0 < result.nodes_expanded < scan
-
-
 class TestSearchOrder:
     @pytest.mark.parametrize(
         "t, sizes",
         [(2, (3, 3, 1, 2, 2, 1)), (3, (2, 2, 1, 2, 2, 1, 2)), (3, (4, 0, 2, 1, 3, 2, 4)),
          (4, (1, 2, 3, 0, 1, 2, 3, 1))],
     )
-    def test_degree_order_unchanged_on_blowups(self, t, sizes):
+    def test_quotient_degree_order_on_blowups(self, t, sizes):
         source = blowup(BlowupSpec(gamma(t), sizes))
         seen = []
 
-        def spy(source, target, order, record):
-            seen.append(list(order))
-            return real(source, target, order, record)
+        def spy(source, target, order, record, **kwargs):
+            seen.append((source, list(order)))
+            return real(source, target, order, record, **kwargs)
 
         real = homomorphism._search
         with mock.patch.object(homomorphism, "_search", spy):
             search_homomorphism(source, gamma(t))
-        old_order = sorted(range(source.n), key=lambda v: (-source.degree(v), v))
-        assert seen == [old_order]
+        quotient, _ = twin_quotient_oracle(source)
+        assert seen == [(quotient, search_order_oracle(quotient))]
 
 
 class TestAgainstBruteForce:
@@ -176,14 +246,45 @@ class TestAgainstBruteForce:
                 with pytest.raises(BudgetExceededError) as err:
                     enumerate_homomorphisms(source, target, limit=k)
                 assert [phi.images for phi in err.value.partial] == want[:k]
-            degrees = [source.degree(v) for v in range(source.n)]
-            order = sorted(range(source.n), key=lambda v: (-degrees[v], v))
             first = search_homomorphism(source, target).map
-            if want:
-                smallest = min(want, key=lambda images: [images[v] for v in order])
-                assert first.images == smallest
-            else:
-                assert first is None
+            assert (first is None) == (not want)
+            assert (first.images if first else None) == first_map_oracle(source, target)
+
+
+class TestQuotientSearch:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_planted_twins_and_clones(self, r):
+        rng = np.random.default_rng(40 + r)
+        for i in range(25):
+            base, source = planted_source(rng, r)
+            # every other target is the base, into which the source maps
+            target = base if i % 2 else random_graph(rng, r, int(rng.integers(r, 6)), 0.6)
+            exists = has_hom_oracle(source, target)
+            result = search_homomorphism(source, target)
+            assert result.found == exists
+            assert (result.map.images if exists else None) == first_map_oracle(source, target)
+            if exists:
+                assert result.map.is_homomorphism(source, target)
+
+    @pytest.mark.parametrize(
+        "sizes", [(3, 3, 2, 2, 3, 2, 3), (3, 3, 2, 3, 2, 3, 3), (20, 20, 10, 20, 20, 10, 20)]
+    )
+    def test_blowups_of_gamma3_take_seven_nodes(self, sizes):
+        # the degree-order search of the whole blowup expands 14,551 nodes
+        # for (3, 3, 2, 3, 2, 3, 3) and did not finish in 3 minutes for the
+        # 120,000-edge (20, 20, 10, 20, 20, 10, 20)
+        source = blowup(BlowupSpec(gamma(3), sizes))
+        result = search_homomorphism(source, gamma(3))
+        assert result.found and result.nodes_expanded <= 7
+        assert result.map.is_homomorphism(source, gamma(3))
+
+    @pytest.mark.parametrize("t, before", [(2, 156), (3, 727), (4, 4288)])
+    def test_complete_graphs_search_fewer_nodes(self, t, before):
+        # ``before``: forward checking with no clone order (an index-order
+        # scan of every target vertex expands 942, 5096 and 34312 nodes); the
+        # t + 3 vertices of the complete graph are all clones
+        result = search_homomorphism(Hypergraph.complete(3, t + 3), gamma(t))
+        assert not result.found and 0 < result.nodes_expanded < before
 
 
 class TestColorable:
@@ -560,6 +661,16 @@ class TestVertexMap:
         with pytest.raises(InvalidArgumentError, match="need 2 images, got 1"):
             VertexMap(2, 3, (0,))
 
+    def test_library_maps_equal_validated_ones(self):
+        # maps the library builds skip __post_init__; they must be the same values
+        source = blowup(BlowupSpec(gamma(3), (2, 1, 1, 2, 1, 1, 2)))
+        maps = (enumerate_endomorphisms(gamma(3)) + enumerate_endomorphisms(gamma(1))
+                + enumerate_homomorphisms(K4, gamma(2)) + [find_homomorphism(source, gamma(3))])
+        for phi in maps:
+            checked = VertexMap(phi.from_n, phi.to_n, phi.images)
+            assert phi == checked and hash(phi) == hash(checked)
+            assert type(phi.images) is tuple and all(type(w) is int for w in phi.images)
+
 
 def sorted_tuple_is_homomorphism(phi, source, target):
     """Reference check: each edge image, sorted, is r distinct vertices
@@ -741,7 +852,18 @@ class TestDebugLog:
         ]
         nodes = search_homomorphism(K4, gamma(2)).nodes_expanded
         assert self.records(caplog, lambda: search_homomorphism(K4, gamma(2))) == [
-            f"search: general, {nodes} nodes"
+            f"search: general, 4 vertices in 4 twin classes, 1 clone chains, {nodes} nodes"
+        ]
+        # gamma(3) is twin-free; its vertices 0 and 1 swap
+        source = blowup(BlowupSpec(gamma(3), (3, 3, 2, 3, 2, 3, 3)))
+        assert self.records(caplog, lambda: search_homomorphism(source, gamma(3))) == [
+            "search: general, 19 vertices in 7 twin classes, 1 clone chains, 7 nodes"
+        ]
+        # without part 2 it is a blowup of K4: parts 3 and 4 are twins, as
+        # are 5 and 6, and the four classes are clones
+        source = blowup(BlowupSpec(gamma(3), (4, 1, 0, 2, 3, 2, 4)))
+        assert self.records(caplog, lambda: search_homomorphism(source, gamma(3))) == [
+            "search: general, 16 vertices in 4 twin classes, 1 clone chains, 4 nodes"
         ]
 
     def test_isomorphism(self, caplog):

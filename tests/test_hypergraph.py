@@ -168,6 +168,73 @@ class TestSymmetricPair:
         with pytest.raises(UnsupportedUniformityError):
             Hypergraph.complete(2, 4).is_symmetric_pair((0, 1))
 
+    @given(hypergraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_exactly_when_the_swap_fixes_the_graph(self, h):
+        if h.r != 3:
+            return
+        for u, v in itertools.combinations(range(h.n), 2):
+            perm = list(range(h.n))
+            perm[u], perm[v] = v, u
+            assert h.is_symmetric_pair((u, v)) == (h.relabel(perm) == h)
+
+
+class TestTwinClasses:
+    @staticmethod
+    def oracle(h: Hypergraph) -> tuple:
+        """Twins compared pair by pair: equal links and no edge holding both."""
+        links = [{tuple(w for w in e if w != v) for e in h.edges if v in e} for v in range(h.n)]
+        classes: list[list[int]] = []
+        for v in range(h.n):
+            for members in classes:
+                u = members[0]
+                if links[u] == links[v] and not any(u in e and v in e for e in h.edges):
+                    members.append(v)
+                    break
+            else:
+                classes.append([v])
+        return tuple(tuple(members) for members in classes)
+
+    @given(hypergraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_oracle(self, h):
+        assert h.twin_classes() == self.oracle(h)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_other_uniformities(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(20):
+            n = int(rng.integers(r, 8))
+            universe = list(itertools.combinations(range(n), r))
+            h = Hypergraph(r, n, [e for e in universe if rng.random() < 0.4])
+            assert h.twin_classes() == self.oracle(h)
+
+    @given(hypergraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_one_round_leaves_no_twins(self, h):
+        # the graph is the blowup of the quotient over the classes, so twins
+        # of the quotient would be twins of the graph
+        quotient = h.induced(members[0] for members in h.twin_classes())
+        assert quotient.twin_classes() == tuple((v,) for v in range(quotient.n))
+
+    def test_blowup_parts_are_classes(self):
+        # gamma(3) has no twins, so the classes are exactly the parts
+        sizes = (3, 1, 2, 2, 3, 1, 2)
+        starts = np.cumsum((0,) + sizes).tolist()
+        parts = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+        assert gamma(3).twin_classes() == tuple((v,) for v in range(7))
+        assert blowup(BlowupSpec(gamma(3), sizes)).twin_classes() == parts
+
+    def test_isolated_vertices_form_one_class(self):
+        h = Hypergraph(3, 6, [(0, 1, 2), (0, 1, 4)])
+        assert h.twin_classes() == ((0,), (1,), (2, 4), (3, 5))
+        assert Hypergraph.empty(2, 3).twin_classes() == ((0, 1, 2),)
+        assert Hypergraph.empty(2, 0).twin_classes() == ()
+
+    def test_complete_graph_has_none(self):
+        # clones, not twins: every pair lies in an edge
+        assert K4.twin_classes() == ((0,), (1,), (2,), (3,))
+
 
 class TestInduced:
     def test_gamma2_contains_complete(self):
