@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .common import BudgetExceededError, InvalidArgumentError, SizeLimitError
-from .hypergraph import Hypergraph, _links, _swappable
+from .hypergraph import Hypergraph, _links, _swappable, _twin_classes
 
 _log = logging.getLogger(__name__)
 
@@ -325,10 +325,10 @@ def search_homomorphism(source: Hypergraph, target: Hypergraph) -> HomSearchResu
         return HomSearchResult(VertexMap(source.n, target.n, (0,) * source.n), 0)
     if source.r != target.r or target.n == 0:
         return HomSearchResult(None, 0)
-    quotient, project = _twin_quotient(source)
+    quotient, project, links = _twin_quotient(source)
     degrees = quotient.degrees()
     order = sorted(range(quotient.n), key=lambda v: (-degrees[v], v))
-    follows, chains = _clone_chains(quotient, order)
+    follows, chains = _clone_chains(links, order)
     found: list[tuple[int, ...]] = []
     # list.append returns None, so the search stops at the first solution
     nodes = _search(quotient, target, order, found.append, clones=follows)
@@ -342,29 +342,33 @@ def search_homomorphism(source: Hypergraph, target: Hypergraph) -> HomSearchResu
     return HomSearchResult(None, nodes)
 
 
-def _twin_quotient(graph: Hypergraph) -> tuple[Hypergraph, list[int]]:
-    """The graph induced on the lowest member of each twin class, and each
+def _twin_quotient(graph: Hypergraph) -> tuple[Hypergraph, list[int], list[set[int]]]:
+    """The graph induced on the lowest member of each twin class, each
     vertex's image in it (``induced`` keeps the order, so class k becomes
-    vertex k).  One round leaves no twins (see the module docstring)."""
-    classes = graph.twin_classes()
+    vertex k), and the quotient's links; a graph without twins is its own
+    quotient, and its links are built once.  One round leaves no twins (see
+    the module docstring)."""
+    links = _links(graph)
+    classes = _twin_classes(links)
     project = [0] * graph.n
     for k, members in enumerate(classes):
         for v in members:
             project[v] = k
     if len(classes) == graph.n:
-        return graph, project
-    return graph.induced(members[0] for members in classes), project
+        return graph, project, links
+    quotient = graph.induced(members[0] for members in classes)
+    return quotient, project, _links(quotient)
 
 
-def _clone_chains(graph: Hypergraph, order: list[int]) -> tuple[list[int], int]:
+def _clone_chains(links: list[set[int]], order: list[int]) -> tuple[list[int], int]:
     """For each search position, the next position of its clone class, or
-    0; and the number of classes with more than one member.
+    0; and the number of classes with more than one member, from the
+    graph's links.
 
     u and v are clones when swapping them is an automorphism.  Clones have
     equal degrees, and cloning is an equivalence, so each vertex is
     compared with one member of each class of its degree.
     """
-    links = _links(graph)
     groups: dict[int, list[list[int]]] = {}
     for v in order:
         classes = groups.setdefault(len(links[v]), [])

@@ -261,10 +261,7 @@ class Hypergraph(Frozen):
         vertex per class is a retract.  Classes are found by hashing links
         of (r-1)-set bitmasks; vertices in no edge form one class.
         """
-        classes: dict[frozenset, list[int]] = {}
-        for v, link in enumerate(_links(self)):
-            classes.setdefault(frozenset(link), []).append(v)
-        return tuple(tuple(members) for members in classes.values())
+        return _twin_classes(_links(self))
 
     def induced(self, vertices: Iterable[int]) -> "Hypergraph":
         """Induced subgraph on ``vertices``, relabeled 0..k-1 preserving order."""
@@ -451,6 +448,14 @@ def _links(graph: Hypergraph) -> list[set[int]]:
             left ^= bit
             links[bit.bit_length() - 1].add(mask ^ bit)
     return links
+
+
+def _twin_classes(links: list[set[int]]) -> tuple[tuple[int, ...], ...]:
+    """The vertices grouped by equal link, ordered by lowest member."""
+    classes: dict[frozenset, list[int]] = {}
+    for v, link in enumerate(links):
+        classes.setdefault(frozenset(link), []).append(v)
+    return tuple(tuple(members) for members in classes.values())
 
 
 def _swappable(links: list[set[int]], u: int, v: int) -> bool:

@@ -357,21 +357,29 @@ _CHUNK_ELEMENTS = 1 << 20
 #: Largest (prefix rows, tail rows) score matrix of one product in
 #: :meth:`PolyKernel.scan` (more prefix rows go in chunks); a block of tail
 #: sums gets 1/64 of it in factor entries, 128 KB that the allocator reuses.
+#: Factor blocks 4 times larger (1/16) made the extremal benchmark slower:
+#: ``wall_s`` +12% and ``max_op_s`` +23% on 2 cores.
 _SCAN_ELEMENTS = 1 << 20
 
 
-def _term_sums(block: np.ndarray, subsets, coefs, dtype=None) -> np.ndarray:
-    """sum of c * prod(block[:, i] for i in S) over the (S, c) pairs at every
-    row, one term column at a time, in ``dtype`` (by default the block's)."""
-    out = np.zeros(block.shape[0], dtype=dtype or block.dtype)
-    for subset, c in zip(subsets, coefs):
-        if subset:
-            prod = block[:, subset[0]].astype(out.dtype)
-            for i in subset[1:]:
-                prod *= block[:, i]
-            out += c * prod
+def _monomials(table: np.ndarray, subsets, dtype, unit: int | None) -> np.ndarray:
+    """The (subsets, rows) array of prod(x[:, i] for i in S) in ``dtype``,
+    where x is the integer ``table``, divided by ``unit`` if one is given.
+    The table is cast once, column-major, so that each product is of
+    contiguous columns into a contiguous row; the empty subset gives ones."""
+    columns = table.astype(dtype, order="F")
+    if unit is not None:
+        columns /= unit
+    out = np.empty((len(subsets), len(table)), dtype)
+    for row, subset in zip(out, subsets):
+        if not subset:
+            row.fill(1)
+        elif len(subset) == 1:
+            row[:] = columns[:, subset[0]]
         else:
-            out += c
+            np.multiply(columns[:, subset[0]], columns[:, subset[1]], out=row)
+            for i in subset[2:]:
+                row *= columns[:, i]
     return out
 
 
@@ -433,14 +441,18 @@ class PolyKernel:
         self._derivative_tables: dict[int, tuple] = {}
         # per order, the bincount bins of the largest chunk seen so far
         self._derivative_bins: dict[int, np.ndarray] = {}
-        # scan's factoring: (prefix part T, [(tail part shifted to 0, term)]) per T
+        # scan's factoring: the distinct prefix parts T (the groups), the
+        # distinct tail parts shifted to 0, and each term's (group, tail part)
         split = self.m // 2
-        by_head: dict[Term, list] = {}
-        for k, subset in enumerate(self.subsets):
+        heads: dict[Term, int] = {}
+        tails: dict[Term, int] = {}
+        cells = []
+        for subset in self.subsets:
             head = tuple(i for i in subset if i < split)
             tail = tuple(i - split for i in subset if i >= split)
-            by_head.setdefault(head, []).append((tail, k))
-        self._scan_groups = tuple(by_head.items())
+            cells.append((heads.setdefault(head, len(heads)), tails.setdefault(tail, len(tails))))
+        self._scan_heads, self._scan_tails = tuple(heads), tuple(tails)
+        self._scan_cells = tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Float values at every row of an (S, m) array."""
@@ -561,8 +573,17 @@ class PolyKernel:
     def batch(self, block: np.ndarray, coefs: Sequence) -> np.ndarray:
         """Values at every row of ``block`` with per-term ``coefs``; the
         result has the block's dtype (int64, float, or object for exact
-        Python integers)."""
-        return _term_sums(block, self.subsets, coefs)
+        Python integers), summed one term column at a time."""
+        out = np.zeros(block.shape[0], dtype=block.dtype)
+        for subset, c in zip(self.subsets, coefs):
+            if subset:
+                prod = block[:, subset[0]].copy()
+                for i in subset[1:]:
+                    prod *= block[:, i]
+                out += c * prod
+            else:
+                out += c
+        return out
 
     def rational_values(self, points: Sequence[Sequence[Fraction]]) -> list[Fraction]:
         """Exact values at rational points, scaled to integer rows of their
@@ -595,16 +616,21 @@ class PolyKernel:
 
         The scan splits a row into a prefix a, its first m // 2 coordinates, and
         a tail b; each side's compositions of every sum up to ``total`` are one
-        stacked table (:func:`_grid.compositions`).  Grouping the terms by their
-        prefix part T = S & [0, m // 2) writes p(a, b) = sum_T a^T q_T(b).  For
-        each tail sum R, M holds the monomials a^T of every prefix composition
-        of total - R, Q the tail polynomials q_T of every tail composition of R,
-        and M @ Q scores all their pairs; its prefix-major flat order is
-        lexicographic order, so its first maximum is the lexicographically first
-        within R.  M and Q are computed per block of consecutive R (about
-        _SCAN_ELEMENTS / 64 entries) and sliced per R.  Across R (and chunks of
-        prefix rows) a row replaces the best when it is greater, or equal and
-        lexicographically smaller.
+        stacked table, and one :func:`_grid.composition_tables` build gives
+        both (building the tail table passes through the prefix table).
+        Grouping the terms by their prefix part T = S & [0, m // 2) writes
+        p(a, b) = sum_T a^T q_T(b).  For each tail sum R, M holds the monomials
+        a^T of every prefix composition of total - R, Q the tail polynomials
+        q_T of every tail composition of R, and M @ Q scores all their pairs;
+        its prefix-major flat order is lexicographic order, so its first
+        maximum is the lexicographically first within R.  M and Q are computed
+        per block of consecutive R (about _SCAN_ELEMENTS / 64 entries) and
+        sliced per R: each block's two tables are cast once, column-major, to
+        the scan's arithmetic, each monomial a^T and each distinct tail
+        monomial b^U is one contiguous column product, and Q = W @ (tail
+        monomials), with W[T, U] the scaled coefficient of the term T | U (0
+        if there is none).  Across R (and chunks of prefix rows) a row replaces
+        the best when it is greater, or equal and lexicographically smaller.
 
         In the exact paths, the prefix rows of every product are bounded
         first, once there is a running maximum.  M >= 0 entrywise (its entries
@@ -617,16 +643,19 @@ class PolyKernel:
         M[a, T] Q[T, b_T] over T, each a sum of term values at some row
         (a, b_T), so every partial sum stays within the bound below.
 
-        A partial sum of M @ Q adds some term values, so it is at most
-        sum |c| * total**deg over the scaled coefficients c.  Below 2**53 the product runs
-        in float64 (BLAS), exact on the integer factors; below 2**62, in int64.
-        Otherwise the same product runs in float on k / total, and the rows
+        A partial sum of M @ Q adds some term values at one row, so it is at
+        most sum |c| * total**deg over the scaled coefficients c; a partial sum
+        of W @ (tail monomials) adds some c * b^U, each at most |c| * total**|U|,
+        so the same bound holds.  Below 2**53 both products run in
+        float64 (BLAS), exact on the integer factors; below 2**62, in int64.
+        Otherwise the same products run in float on k / total, and the rows
         within :attr:`float_slack` of the running float maximum are rescored with exact
         Python integers; the running float maximum only rises, so every exact
         maximizer is kept.  Each term reaches a float score through at most one
         coefficient rounding, deg coordinate roundings, deg product roundings
-        (M[a, T] times a sum of terms rounds each term alike) and fewer
-        additions than there are terms, in any summation order.  With
+        (W[T, U] times b^U, then M[a, T] times a sum of such products, round
+        each term alike; a zero of W adds nothing) and fewer additions than
+        there are terms, in any summation order.  With
         coordinates in [0, 1], every float score is therefore within
         (terms + 2 deg) units of roundoff of sum |c_S| of its exact value, under
         half the slack; this path is never pruned.  Each scan logs one DEBUG
@@ -640,13 +669,19 @@ class PolyKernel:
         coefs, scale = self.integer_coefficients(total)
         in_float = not self.fits_int64(coefs, total)
         dtype = np.float64 if in_float or self._score_bound(coefs, total) < 2**53 else np.int64
-        unit = max(total, 1)
+        unit = max(total, 1) if in_float else None
         split = self.m // 2
-        prefixes, prefix_at = _grid.compositions(total, split)
-        tails, tail_at = _grid.compositions(total, self.m - split)
+        # one build: building the tail table passes through the prefix table
+        for parts, table in enumerate(_grid.composition_tables(total, self.m - split)):
+            if parts == split:
+                prefixes, prefix_at = table
+        tails, tail_at = table
+        # W[g, j]: the scaled coefficient of the term with prefix part g and tail part j
+        W = np.zeros((len(self._scan_heads), len(self._scan_tails)), dtype)
+        W[self._scan_cells] = self.float_coefs if in_float else coefs
         # factor entries at each tail sum R; a block of consecutive R starts
         # where their running sum passes a multiple of the block size
-        sizes = (np.diff(tail_at) + np.diff(prefix_at)[::-1]) * len(self._scan_groups)
+        sizes = (np.diff(tail_at) + np.diff(prefix_at)[::-1]) * len(self._scan_heads)
         block = max(1, _SCAN_ELEMENTS >> 6)
         firsts = np.flatnonzero(np.diff(np.cumsum(sizes) // block, prepend=-1)).tolist()
         best_float = -np.inf
@@ -656,8 +691,7 @@ class PolyKernel:
             # prefix sums total - hi + 1 .. total - lo, tail sums lo .. hi - 1
             p0, t0 = prefix_at[total - hi + 1], tail_at[lo]
             a, b = prefixes[p0 : prefix_at[total - lo + 1]], tails[t0 : tail_at[hi]]
-            scaled = (a / unit, b / unit, self.float_coefs) if in_float else (a, b, coefs)
-            M, Q = self._factors(*scaled, dtype)
+            M, Q = self._factors(a, b, W, unit)
             for tail_sum in range(lo, hi):
                 t1, t2 = tail_at[tail_sum] - t0, tail_at[tail_sum + 1] - t0
                 first, stop = prefix_at[total - tail_sum : total - tail_sum + 2] - p0
@@ -704,13 +738,10 @@ class PolyKernel:
         return best, best_row, scale
 
     def _factors(
-        self, prefixes: np.ndarray, tails: np.ndarray, coefs: Sequence, dtype
+        self, prefixes: np.ndarray, tails: np.ndarray, W: np.ndarray, unit: int | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The (prefix rows, groups) monomials M and (groups, tail rows)
-        tail polynomials Q of :meth:`scan`, computed in ``dtype``."""
-        M = np.empty((len(prefixes), len(self._scan_groups)), dtype=dtype)
-        Q = np.empty((len(self._scan_groups), len(tails)), dtype=dtype)
-        for g, (head, members) in enumerate(self._scan_groups):
-            M[:, g] = _term_sums(prefixes, (head,), (1,), dtype)
-            Q[g] = _term_sums(tails, [s for s, _ in members], [coefs[k] for _, k in members], dtype)
-        return M, Q
+        tail polynomials Q = W @ (tail monomials) of :meth:`scan`, computed
+        in W's dtype on the rows, or on the rows / ``unit`` if one is given."""
+        M = _monomials(prefixes, self._scan_heads, W.dtype, unit).T
+        return M, W @ _monomials(tails, self._scan_tails, W.dtype, unit)

@@ -27,7 +27,7 @@ from turan import (
     partial_embedding_check,
     search_homomorphism,
 )
-from turan import homomorphism
+from turan import homomorphism, hypergraph
 
 K4 = Hypergraph.complete(3, 4)
 K5 = Hypergraph.complete(3, 5)
@@ -277,6 +277,24 @@ class TestQuotientSearch:
         result = search_homomorphism(source, gamma(3))
         assert result.found and result.nodes_expanded <= 7
         assert result.map.is_homomorphism(source, gamma(3))
+
+    def test_links_of_a_twin_free_source_built_once(self):
+        # K5 has no twins, so it is its own quotient: one build of its links
+        # gives the twin classes and the clone chains
+        built = []
+
+        def spy(graph):
+            built.append(graph)
+            return links(graph)
+
+        links = hypergraph._links
+        with (
+            mock.patch.object(homomorphism, "_links", spy),
+            mock.patch.object(hypergraph, "_links", spy),
+        ):
+            result = search_homomorphism(K5, gamma(2))
+        assert [g is K5 for g in built].count(True) == 1
+        assert (result.map, result.nodes_expanded) == (None, 35)
 
     @pytest.mark.parametrize("t, before", [(2, 156), (3, 727), (4, 4288)])
     def test_complete_graphs_search_fewer_nodes(self, t, before):

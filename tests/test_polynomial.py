@@ -19,6 +19,7 @@ from turan import (
     InvalidArgumentError,
     MultilinearPoly,
     SplitMismatchError,
+    crossed_blowup,
     gamma,
     gamma_permutation,
     grid_oracle,
@@ -619,17 +620,41 @@ def brute_force_scan(poly, total):
     return best, best_row, scale
 
 
+def scan_cases():
+    """(poly, total) for a brute-force scan: m <= 5 with total <= 6, or m <= 8
+    with total <= 4 (at most 330 points).  From m = 6 on, the tail has 3 or
+    4 variables, and a tail monomial can serve several prefix groups."""
+    return st.one_of(
+        st.tuples(signed_polys(), st.integers(0, 6)),
+        st.tuples(signed_polys(max_m=8), st.integers(0, 4)),
+    )
+
+
+# m = 7 and 8: tail monomials shared by several prefix groups, and tails of
+# 4 variables whose one positive row is the maximum at total 4
+SHARED_TAILS = [
+    MultilinearPoly(7, {(0, 3, 5): 2, (1, 3, 5): -3, (3, 5): Fraction(1, 2), (2, 4, 6): 5,
+                        (0, 4, 6): -1, (0,): 4, (): -2}),
+    MultilinearPoly(8, {(0, 4, 5, 7): 3, (1, 4, 5, 7): -2, (2, 3, 4): 1, (6,): 7,
+                        (0, 1, 6): -5, (2, 6): Fraction(-3, 4), (4, 5, 6, 7): 2}),
+    MultilinearPoly(7, {(3, 4, 5, 6): 1, (0, 3): Fraction(-1, 100), (3,): Fraction(-1, 100)}),
+    MultilinearPoly(8, {(4, 5, 6, 7): 1, (1, 4): Fraction(-1, 100), (4,): Fraction(-1, 100)}),
+]
+
+
 class TestScanDifferential:
     """PolyKernel.scan against the brute-force lexicographically first maximum."""
 
-    @given(
-        signed_polys(),
-        st.integers(0, 6),
-        st.booleans(),
-        st.sampled_from([1, 2, 5, 1 << 20]),
-    )
+    @given(scan_cases(), st.booleans(), st.sampled_from([1, 2, 5, 1 << 20]))
+    @example((SHARED_TAILS[0], 4), True, 5)
+    @example((SHARED_TAILS[0], 4), False, 1 << 20)
+    @example((SHARED_TAILS[1], 4), True, 1 << 20)
+    @example((SHARED_TAILS[1], 3), False, 2)
+    @example((SHARED_TAILS[2], 4), True, 1 << 20)
+    @example((SHARED_TAILS[3], 4), False, 1 << 20)
     @settings(max_examples=300, deadline=None)
-    def test_scan_matches_brute_force(self, poly, total, in_int64, elements):
+    def test_scan_matches_brute_force(self, case, in_int64, elements):
+        poly, total = case
         expected = brute_force_scan(poly, total)
         kernel = PolyKernel(poly)
         expected_coefs, _ = kernel.integer_coefficients(total)
@@ -703,19 +728,20 @@ class TestScanPruning:
     """The bound M[a] . max_b Q[:, b] prunes only rows that cannot reach the
     running maximum: the pruned scan gives the brute-force answer."""
 
-    @given(
-        signed_polys(),
-        st.integers(0, 6),
-        st.booleans(),
-        st.sampled_from([1, 2, 5, 1 << 20]),
-    )
-    @example(MultilinearPoly(3, {(0, 1): 1, (1, 2): 1, (0, 2): -1}), 0, True, 1)
-    @example(MultilinearPoly.constant(2, -4), 5, False, 1)
+    @given(scan_cases(), st.booleans(), st.sampled_from([1, 2, 5, 1 << 20]))
+    @example((MultilinearPoly(3, {(0, 1): 1, (1, 2): 1, (0, 2): -1}), 0), True, 1)
+    @example((MultilinearPoly.constant(2, -4), 5), False, 1)
     # scores up to about 2**56: the exact path runs in int64
-    @example(MultilinearPoly(3, {(0, 1): 2**50 + 1, (1, 2): -(2**50), (0, 2): 2**49, (): 3}),
-             6, True, 1)
+    @example((MultilinearPoly(3, {(0, 1): 2**50 + 1, (1, 2): -(2**50), (0, 2): 2**49, (): 3}),
+              6), True, 1)
+    @example((SHARED_TAILS[0], 4), True, 1)
+    @example((SHARED_TAILS[1], 4), True, 5)
+    @example((SHARED_TAILS[1], 4), False, 1 << 20)
+    @example((SHARED_TAILS[2], 4), False, 5)
+    @example((SHARED_TAILS[3], 4), True, 1)
     @settings(max_examples=300, deadline=None)
-    def test_matches_brute_force(self, poly, total, in_int64, elements):
+    def test_matches_brute_force(self, case, in_int64, elements):
+        poly, total = case
         got, message = pruning_scan(poly, total, elements, in_int64)
         assert got == brute_force_scan(poly, total)
         pruned, scored, points = scan_counts(message)
@@ -812,17 +838,19 @@ class TestScanStructure:
         poly = MultilinearPoly.from_hypergraph(Hypergraph.complete(3, m))
         total = lagrangian._auto_resolution(m)
         with (
-            mock.patch.object(_grid, "compositions", wraps=_grid.compositions) as tables,
+            mock.patch.object(_grid, "compositions", wraps=_grid.compositions) as single,
+            mock.patch.object(
+                _grid, "composition_tables", wraps=_grid.composition_tables
+            ) as tables,
             mock.patch.object(
                 PolyKernel, "_factors", autospec=True, side_effect=PolyKernel._factors
             ) as factors,
         ):
             result = grid_oracle(poly, total)
         assert result == grid_oracle(poly, total)
-        split = m // 2
-        assert sorted(c.args for c in tables.call_args_list) == sorted(
-            [(total, split), (total, m - split)]
-        )
+        # one table build: the tail table's passes through the prefix table's
+        assert [c.args for c in tables.call_args_list] == [(total, m - m // 2)]
+        assert not single.called
         # factors per block of tail sums (one block up to m = 4), not per tail sum
         assert factors.call_count <= (total + 1) // 2
         assert m > 4 or factors.call_count == 1
@@ -850,6 +878,82 @@ class TestScanStructure:
         with caplog.at_level(logging.INFO, logger="turan.polynomial"):
             P_K4.kernel.scan(6, None, "test scan")
         assert not [r for r in caplog.records if r.name == "turan.polynomial"]
+
+
+def record_counts(message):
+    """(factor blocks, products, prefix rows pruned, points scored) from a
+    scan's DEBUG record."""
+    blocks = int(message.split(" factor blocks")[0].rsplit(", ", 1)[1])
+    products = int(message.split(" products in ")[0].rsplit(", ", 1)[1])
+    pruned, scored, _ = scan_counts(message)
+    return blocks, products, pruned, scored
+
+
+def maximize_graphs():
+    cycle = tight_cycle(5)
+    graphs = {f"K{k}": Hypergraph.complete(3, k) for k in (4, 5, 6)}
+    graphs.update({f"gamma({t})": gamma(t) for t in (1, 2, 3, 4)})
+    graphs.update({"C5": cycle, "C5-crossed": crossed_blowup(cycle, (3, 4))})
+    return graphs
+
+
+class TestBenchScans:
+    """The benchmark's scans, beyond brute force, pinned: each result and
+    the DEBUG counts of its work (factor blocks, products, prefix rows
+    pruned, points scored)."""
+
+    @pytest.mark.parametrize(
+        "t, n, result, counts",
+        [
+            (2, 12, (108, (3, 3, 0, 3, 3, 0), 1728), (1, 8, 295, 893)),
+            (2, 24, (864, (6, 6, 0, 6, 6, 0), 13824), (3, 15, 2143, 16684)),
+            (2, 48, (6912, (12, 12, 0, 12, 12, 0), 110592), (16, 29, 16539, 429615)),
+            (2, 60, (13500, (15, 15, 0, 15, 15, 0), 216000), (30, 36, 32059, 1257815)),
+            (3, 25, (1250, (5, 5, 5, 0, 5, 5, 0), 15625), (11, 11, 2681, 12634)),
+            (3, 30, (2160, (6, 6, 6, 0, 6, 6, 0), 27000), (17, 13, 4614, 25158)),
+        ],
+    )
+    def test_exhaustive_blowup_scans(self, caplog, t, n, result, counts):
+        kernel = MultilinearPoly.from_hypergraph(gamma(t)).kernel
+        with caplog.at_level(logging.DEBUG, logger="turan.polynomial"):
+            got = kernel.scan(n, None, "test scan")
+        (record,) = [r for r in caplog.records if r.name == "turan.polynomial"]
+        assert got == result
+        assert record_counts(record.getMessage()) == counts
+
+    @pytest.mark.parametrize(
+        "label, result, counts",
+        [
+            ("K4", (6912, (12, 12, 12, 12), 110592), (1, 25, 862, 2759)),
+            ("K5", (4376, (7, 7, 8, 8, 8), 54872), (3, 25, 493, 14595)),
+            ("K6", (1280, (4, 4, 4, 4, 4, 4), 13824), (3, 13, 2314, 6296)),
+            ("gamma(1)", (512, (0, 8, 0, 0, 8, 8), 13824), (2, 18, 1003, 61761)),
+            ("gamma(2)", (864, (6, 6, 0, 6, 6, 0), 13824), (3, 15, 2143, 16684)),
+            ("gamma(3)", (387, (3, 3, 3, 0, 4, 4, 0), 4913), (4, 9, 858, 2814)),
+            ("gamma(4)", (248, (2, 2, 2, 2, 0, 3, 3, 0), 2744), (6, 7, 2258, 2404)),
+            ("C5", (2192, (7, 7, 8, 8, 8), 54872), (3, 38, 177, 100898)),
+            ("C5-crossed", (240, (0, 3, 6, 4, 0, 4, 0), 4913), (3, 10, 695, 16339)),
+        ],
+    )
+    def test_maximize_grid_scans(self, caplog, label, result, counts):
+        # maximize's own scan: of the twin-merged polynomial, at the
+        # automatic resolution
+        results = []
+        scan = PolyKernel.scan
+
+        def recorded(kernel, *args):
+            results.append(scan(kernel, *args))
+            return results[-1]
+
+        poly = MultilinearPoly.from_hypergraph(maximize_graphs()[label])
+        with (
+            mock.patch.object(PolyKernel, "scan", recorded),
+            caplog.at_level(logging.DEBUG, logger="turan.polynomial"),
+        ):
+            lagrangian.maximize(poly)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("scan: ")]
+        assert results == [result]
+        assert record_counts(record.getMessage()) == counts
 
 
 class TestMultilinearity:
