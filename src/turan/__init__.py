@@ -59,8 +59,6 @@ from .lagrangian import (
     LagrangianResult,
     SegmentCertificate,
     SimplexPoint,
-    WeightProfileFit,
-    fit_weight_profile,
     grid_oracle,
     maximize,
     predicted_segment,

@@ -19,6 +19,7 @@ logs what it did to the ``turan`` logger at DEBUG.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -712,15 +713,41 @@ def symmetrize_point(
     return SimplexPoint(coords)
 
 
+def _exact_derivatives(
+    poly: MultilinearPoly, x: Sequence[Fraction], hessian: bool = False
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Exact partials of ``poly`` at the rational point ``x`` and, with
+    ``hessian``, its second partials (else []), from one exact batch: p is
+    affine in each coordinate, so a first partial is the difference of two
+    values and a second partial the alternating sum of four, with the
+    coordinates pinned to 1 and 0."""
+    m = poly.m
+    coords = list(x)
+
+    def pinned(*pins: tuple[int, int]) -> list:
+        point = coords[:]
+        for k, v in pins:
+            point[k] = v
+        return point
+
+    pairs = list(itertools.combinations(range(m), 2)) if hessian else []
+    points = [pinned((k, v)) for k in range(m) for v in (1, 0)]
+    points += [pinned((j, a), (k, b)) for j, k in pairs for a in (1, 0) for b in (1, 0)]
+    values = poly.kernel.rational_values(points)
+    grads = [values[2 * k] - values[2 * k + 1] for k in range(m)]
+    second = [[Fraction(0)] * m for _ in range(m)] if hessian else []
+    for index, (j, k) in enumerate(pairs):
+        both, only_j, only_k, neither = values[2 * m + 4 * index : 2 * m + 4 * index + 4]
+        second[j][k] = second[k][j] = both - only_j - only_k + neither
+    return grads, second
+
+
 def _check_first_order_maximum(poly: MultilinearPoly, z: SimplexPoint) -> None:
     """Exact stationarity on the simplex: support partials share one value
     that no off-support partial exceeds.  Necessary (not sufficient) for a
     maximizer; rejects points that are obviously not optimal."""
     coords = z.as_fractions()
-    # p is affine in each coordinate: d p / d x_k = p(x; x_k = 1) - p(x; x_k = 0)
-    ends = [coords[:k] + (v,) + coords[k + 1 :] for k in range(poly.m) for v in (1, 0)]
-    values = poly.kernel.rational_values(ends)
-    grads = [values[2 * k] - values[2 * k + 1] for k in range(poly.m)]
+    grads, _ = _exact_derivatives(poly, coords)
     support = [k for k in range(poly.m) if coords[k] > 0]
     common = grads[support[0]] if support else Fraction(0)
     if any(grads[k] != common for k in support) or any(
@@ -818,57 +845,3 @@ def verify_segment(
         if value != goal:
             return SegmentCertificate(False, alpha, samples, goal, False)
     return SegmentCertificate(True, None, samples, goal, samples >= poly.degree() + 1)
-
-
-# ---------------------------------------------------------------------------
-# weight-profile fit
-
-
-@dataclass(frozen=True)
-class WeightProfileFit:
-    alpha: float
-    max_deviation: float
-
-
-def profile_template(t: int, alpha: float) -> np.ndarray:
-    """The float alpha-profile on t+4 coordinates: 1/(t+2) on the first t,
-    alpha/(t+2) on positions t and t+3, (1-alpha)/(t+2) on t+1 and t+2."""
-    if t < 2:
-        raise InvalidArgumentError(f"profile template needs t >= 2, got {t}")
-    template = np.empty(t + 4)
-    template[:t] = 1.0 / (t + 2)
-    template[t] = template[t + 3] = alpha / (t + 2)
-    template[t + 1] = template[t + 2] = (1.0 - alpha) / (t + 2)
-    return template
-
-
-def fit_weight_profile(t: int, x, eps: float) -> Optional[WeightProfileFit]:
-    """Fit a near-optimal weight vector to :func:`profile_template` (t, a).
-
-    The least-squares a is clamped to [0,1]; when a and 1-a fit equally well
-    the smaller one is returned.  None when the max deviation exceeds eps.
-    """
-    if t < 2:
-        raise InvalidArgumentError(f"profile fit needs t >= 2, got {t}")
-    coords = x.as_float_array() if isinstance(x, SimplexPoint) else np.asarray(x, float)
-    if coords.shape != (t + 4,):
-        raise InvalidArgumentError(
-            f"point has {coords.shape[0]} coordinates, expected {t + 4}"
-        )
-
-    def deviation(alpha: float) -> float:
-        return float(np.max(np.abs(coords - profile_template(t, alpha))))
-
-    alpha = 0.5 + (t + 2) * (
-        coords[t] + coords[t + 3] - coords[t + 1] - coords[t + 2]
-    ) / 4.0
-    alpha = min(1.0, max(0.0, alpha))
-    dev = deviation(alpha)
-    mirror = deviation(1.0 - alpha)
-    if mirror == dev:
-        alpha = min(alpha, 1.0 - alpha)
-    elif mirror < dev:
-        alpha, dev = 1.0 - alpha, mirror
-    if dev > eps:
-        return None
-    return WeightProfileFit(alpha=alpha, max_deviation=dev)

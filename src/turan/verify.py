@@ -40,10 +40,9 @@ from .homomorphism import (
 from .hypergraph import Hypergraph
 from .lagrangian import (
     SimplexPoint,
-    fit_weight_profile,
+    _exact_derivatives,
     maximize,
     predicted_segment,
-    profile_template,
     symmetrize_point,
     verify_segment,
 )
@@ -244,7 +243,7 @@ def check_extremal_counts(seed: int = 0) -> list[CheckResult]:
     t = 2
     base = gamma(t)
     for n in (12, 24, 48):
-        want = n**3 // 16
+        want = gamma_lagrangian(t) * n**3
         sizes, count = extremal_blowup_search(base, n, mode="exhaustive")
         out.append(
             _result(
@@ -528,50 +527,78 @@ def check_property_suites(seed: int = 0) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# 8. near-optimal weight profiles
+# 8. stability on the optimal segment
 
 
-def sample_near_optimal(t: int, delta: float, count: int, seed: int = 0) -> list[np.ndarray]:
-    """Simplex points x with the gamma(t) polynomial within delta of optimal.
+def _across(d: list[Fraction]) -> list[list[Fraction]]:
+    """A basis of the h with sum(h) = 0 and h . d = 0, for a nonconstant d:
+    for each k other than 0 and q (where d_q != d_0), e_k - e_0 less the
+    multiple of e_q - e_0 that cancels its d component."""
+    q = next(k for k in range(len(d)) if d[k] != d[0])
+    basis = []
+    for k in range(1, len(d)):
+        if k != q:
+            scale = (d[k] - d[0]) / (d[q] - d[0])
+            h = [Fraction(0)] * len(d)
+            h[k], h[q], h[0] = Fraction(1), -scale, scale - 1
+            basis.append(h)
+    return basis
 
-    Perturbs exact optimal-profile points by mean-zero noise and keeps the
-    perturbation only when the value stays above lambda - delta.
-    """
-    rng = np.random.default_rng(seed)
-    poly = MultilinearPoly.from_hypergraph(gamma(t))
-    lam = float(gamma_lagrangian(t))
-    m = t + 4
-    points = []
-    while len(points) < count:
-        base = profile_template(t, rng.uniform())
-        noise = rng.normal(size=m)
-        noise -= noise.mean()
-        scale = 10.0 ** rng.uniform(-9.0, -4.0)
-        x = np.clip(base + scale * noise, 0.0, None)
-        x /= x.sum()
-        if poly.evaluate_float(x) >= lam - delta:
-            points.append(x)
-    return points
+
+def _bends_below(
+    hessian: list[list[Fraction]], basis: list[list[Fraction]], c: Fraction
+) -> bool:
+    """Whether h.H.h < -c |h|^2 for every nonzero h spanned by ``basis``:
+    the Gram form -Z^T H Z - c Z^T Z is positive definite exactly when its
+    exact LDL^T has only positive pivots."""
+
+    def dot(u, v):  # the basis vectors are sparse
+        return sum((a * b for a, b in zip(u, v) if b), Fraction(0))
+
+    pushed = [[dot(row, z) for row in hessian] for z in basis]
+    form = [[-dot(hz, y) - c * dot(z, y) for hz, z in zip(pushed, basis)] for y in basis]
+    for i, row in enumerate(form):
+        if row[i] <= 0:
+            return False
+        for below in form[i + 1 :]:
+            factor = below[i] / row[i]
+            for k in range(i + 1, len(row)):
+                below[k] -= factor * row[k]
+    return True
 
 
 def check_stability_fit(seed: int = 0) -> list[CheckResult]:
+    """The second-order sufficient conditions along gamma(t)'s optimal segment.
+
+    Each partial is a quadratic along the segment, so equal to 3 lambda at
+    alpha = 0, 1/2, 1 means equal everywhere on it, and Euler's identity
+    x . grad p = 3p then gives p = lambda there.  The Hessian is affine in x,
+    so a bound at both ends holds along the segment: for nonzero h in the
+    directions W that keep the sum and are orthogonal to the segment,
+    p(x + h) = lambda + h.H.h / 2 + p(h) < lambda - |h|^2 / (2(t+2)) + p(h).
+    """
     out = []
-    delta = 1e-8
-    for t in (2, 3):
-        eps = 30 * t * delta**0.5
-        worst = 0.0
-        ok = True
-        for x in sample_near_optimal(t, delta, 1000, seed=seed):
-            fit = fit_weight_profile(t, x, eps)
-            if fit is None:
-                ok = False
-                break
-            worst = max(worst, fit.max_deviation)
+    for t in range(2, 7):
+        perm = gamma_permutation(t)
+        ends = predicted_segment(*gamma_base(t))
+        first, second = (permute_point(end, perm).as_fractions() for end in ends)
+        middle = [(a + b) / 2 for a, b in zip(first, second)]
+        poly = MultilinearPoly.from_hypergraph(gamma(t))
+        target = 3 * gamma_lagrangian(t)
+        across = _across([a - b for a, b in zip(first, second)])
+        partials_ok = bends = True
+        for point, at_end in ((first, True), (middle, False), (second, True)):
+            grads, hessian = _exact_derivatives(poly, point, hessian=at_end)
+            partials_ok = partials_ok and all(g == target for g in grads)
+            if at_end:
+                bends = bends and _bends_below(hessian, across, Fraction(1, t + 2))
         out.append(
             _result(
-                f"t={t}: 1000 near-optimal points fit the profile within 30t*sqrt(delta)",
-                ok,
-                f"worst deviation {worst:.2e} vs allowance {eps:.2e}",
+                f"t={t}: every partial is 3*lambda on gamma({t})'s optimal segment,"
+                f" and h.H.h < -|h|^2/{t + 2} across it",
+                partials_ok and bends,
+                f"partials at alpha = 0, 1/2, 1: {partials_ok};"
+                f" {len(across)} LDL^T pivots > 0 at both ends: {bends}",
             )
         )
     return out

@@ -13,9 +13,20 @@ import pytest
 
 from turan import verify
 from turan.common import PreconditionError
-from turan.constructions import blowup_edge_count, double_vertex
+from turan.constructions import (
+    FeasiblePoint,
+    blowup_edge_count,
+    double_vertex,
+    feasible_limit,
+    gamma,
+    gamma_base,
+    gamma_lagrangian,
+    gamma_permutation,
+)
 from turan.homomorphism import enumerate_endomorphisms
 from turan.hypergraph import Hypergraph
+from turan.lagrangian import _exact_derivatives, predicted_segment
+from turan.polynomial import MultilinearPoly
 from turan.verify import CHECKS
 
 CRITERIA = [
@@ -26,7 +37,7 @@ CRITERIA = [
     ("5", "homomorphism-lemmas", 60.0),
     ("6", "feasible-region", 30.0),
     ("7", "property-suites", 2.0),
-    ("8", "stability-fit", 60.0),
+    ("8", "stability-fit", 2.0),
 ]
 
 
@@ -43,6 +54,127 @@ def test_criterion(number, name, time_budget):
     failed = [line.name for line in results if not line.passed]
     assert not failed, f"criterion {number} failed: {failed}"
     assert elapsed <= time_budget, f"criterion {number} took {elapsed:.2f}s"
+
+
+def test_every_check_has_a_budget():
+    assert [name for _, name, _ in CRITERIA] == list(CHECKS)
+
+
+def gamma_with_moved_edge(t):
+    """gamma(t) with its first edge moved onto the first triple that is no edge."""
+    graph = gamma(t)
+    edges = set(graph.edges)
+    free = next(e for e in itertools.combinations(range(graph.n), 3) if e not in edges)
+    return Hypergraph(3, graph.n, [*graph.edges[1:], free])
+
+
+def raised_lagrangian(t):
+    return gamma_lagrangian(t) + Fraction(1, 10**6)
+
+
+def limit_without_alpha_term(t, alpha):
+    """feasible_limit with the 4 alpha (1 - alpha) / (t+2)^2 shadow term dropped."""
+    shadow = Fraction(t * t + 3 * t + 2, (t + 2) ** 2)
+    return FeasiblePoint(shadow, feasible_limit(t, alpha).edge_density)
+
+
+STABILITY_LINES = [
+    f"t={t}: every partial is 3*lambda on gamma({t})'s optimal segment,"
+    f" and h.H.h < -|h|^2/{t + 2} across it"
+    for t in range(2, 7)
+]
+PROFILE_LINES = [
+    f"n={n}: {count} optimal profiles, all attaining the maximum, count >= n/8"
+    for n, count in ((12, 2), (24, 4), (48, 7))
+]
+
+# criterion, the name patched in verify, its replacement, the lines that fail
+PLANTED_DEFECTS = [
+    ("lagrangian-targets", "gamma_lagrangian", raised_lagrangian, [
+        f"lambda({graph}) = {raised_lagrangian(t)}"
+        for t in (1, 2, 3, 4)
+        for graph in (f"K_{t + 2}^3", f"gamma({t})")
+    ]),
+    ("lagrangian-targets", "gamma", gamma_with_moved_edge, [
+        "lambda(gamma(1)) = 1/27",
+        "lambda(gamma(3)) = 2/25",
+        "lambda(gamma(4)) = 5/54",
+    ]),
+    ("segment-certificates", "gamma", gamma_with_moved_edge, [
+        "segment under gamma(1) labels: proved by 11 exact samples = 1/27",
+        "segment under gamma(2) labels: proved by 11 exact samples = 1/16",
+        "segment under gamma(3) labels: proved by 11 exact samples = 2/25",
+        "gamma(1) optimal triangle: proved = 1/27 by the 10-point degree-3 lattice",
+    ]),
+    ("segment-certificates", "gamma_lagrangian", raised_lagrangian, [
+        f"{segment}: proved by 11 exact samples = {raised_lagrangian(t)}"
+        for t in (1, 2, 3)
+        for segment in (f"segment of crossed base, t={t}", f"segment under gamma({t}) labels")
+    ]),
+    ("construction-fidelity", "gamma", gamma_with_moved_edge, [
+        "gamma(2) reproduces the full codegree table",
+    ]),
+    ("extremal-counts", "gamma", gamma_with_moved_edge, PROFILE_LINES),
+    ("extremal-counts", "gamma_lagrangian", raised_lagrangian, [
+        "exhaustive max blowup of gamma(2) on n=12 has 1687527/15625 edges", PROFILE_LINES[0],
+        "exhaustive max blowup of gamma(2) on n=24 has 13500216/15625 edges", PROFILE_LINES[1],
+        "exhaustive max blowup of gamma(2) on n=48 has 108001728/15625 edges", PROFILE_LINES[2],
+    ]),
+    ("feasible-region", "feasible_limit", limit_without_alpha_term, [
+        "alpha=1/4: finite n=480 densities within 5/n of the limits",
+        "alpha=1/2: finite n=480 densities within 5/n of the limits",
+        "limit shadow range over alpha in [0, 1/2] is exactly [3/4, 13/16]",
+    ]),
+    ("stability-fit", "gamma", gamma_with_moved_edge, STABILITY_LINES),
+    ("stability-fit", "gamma_lagrangian", raised_lagrangian, STABILITY_LINES),
+]
+
+
+@pytest.mark.parametrize(
+    "criterion,name,replacement,failing",
+    PLANTED_DEFECTS,
+    ids=[f"{criterion}:{name}" for criterion, name, _, _ in PLANTED_DEFECTS],
+)
+def test_planted_defect_fails_its_lines(monkeypatch, criterion, name, replacement, failing):
+    monkeypatch.setattr(verify, name, replacement)
+    budget = {c[1]: c[2] for c in CRITERIA}[criterion]
+    started = time.monotonic()
+    results = CHECKS[criterion](seed=0)
+    elapsed = time.monotonic() - started
+    assert [line.name for line in results if not line.passed] == failing
+    assert elapsed <= budget, f"{criterion} took {elapsed:.2f}s"
+
+
+class TestStabilityHelpers:
+    """The segment geometry and the LDL^T bound behind the stability lines."""
+
+    @staticmethod
+    def segment(t):
+        perm = gamma_permutation(t)
+        ends = predicted_segment(*gamma_base(t))
+        return [verify.permute_point(end, perm).as_fractions() for end in ends]
+
+    @pytest.mark.parametrize("t", range(2, 7))
+    def test_across_is_a_basis_of_the_transverse_directions(self, t):
+        first, second = self.segment(t)
+        d = [a - b for a, b in zip(first, second)]
+        basis = verify._across(d)
+        assert len(basis) == len(d) - 2 == _rank(basis)
+        for h in basis:
+            assert sum(h) == 0 and sum(a * b for a, b in zip(h, d)) == 0
+
+    @pytest.mark.parametrize("t", range(2, 7))
+    def test_hessian_bound_is_strict_below_its_largest_eigenvalue(self, t):
+        # on W the Hessian's largest eigenvalue is exactly -2/(t+2): any bound
+        # below it passes, and the singular bound itself and anything past fail
+        first, second = self.segment(t)
+        basis = verify._across([a - b for a, b in zip(first, second)])
+        poly = MultilinearPoly.from_hypergraph(gamma(t))
+        for end in (first, second):
+            _, hessian = _exact_derivatives(poly, end, hessian=True)
+            for scale, bends in (("1", True), ("1.99", True), ("2", False), ("2.1", False)):
+                c = Fraction(scale) / (t + 2)
+                assert verify._bends_below(hessian, basis, c) == bends
 
 
 def property_line(prefix: str) -> bool:

@@ -1,4 +1,4 @@
-"""Simplex optimizer, grid oracle, segment certificates, profile fits."""
+"""Simplex optimizer, grid oracle, segment certificates, exact derivatives."""
 
 import copy
 import itertools
@@ -21,7 +21,6 @@ from turan import (
     PreconditionError,
     SegmentCertificate,
     SimplexPoint,
-    fit_weight_profile,
     gamma,
     gamma_lagrangian,
     gamma_permutation,
@@ -37,11 +36,11 @@ from turan.constructions import crossed_blowup, double_vertex, gamma_base
 from turan.lagrangian import (
     DEFAULT_TOL,
     _check_first_order_maximum,
+    _exact_derivatives,
     _concave_on_face,
     _growth_step,
     _kkt_residuals,
     _merge_twins,
-    profile_template,
 )
 from turan.polynomial import PolyKernel
 from turan.verify import permute_point
@@ -720,6 +719,19 @@ class TestPredictedSegment:
                     _check_first_order_maximum(q, z)
         assert outcomes == {True, False}
 
+    def test_exact_derivatives_match_symbolic_partials(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 7))
+            p = random_signed_poly(rng, m)
+            x = [frac(int(rng.integers(-6, 13)), int(rng.integers(1, 9))) for _ in range(m)]
+            grads, hessian = _exact_derivatives(p, x, hessian=True)
+            assert grads == [p.partial(k).evaluate(x) for k in range(m)]
+            assert hessian == [
+                [p.partial(j).partial(k).evaluate(x) for k in range(m)] for j in range(m)
+            ]
+            assert _exact_derivatives(p, x) == (grads, [])
+
     def test_rejects_asymmetric_pair(self):
         c5 = tight_cycle(5)
         with pytest.raises(AsymmetryError):
@@ -838,60 +850,3 @@ class TestVerifySegment:
         point = SimplexPoint.uniform(4)
         with pytest.raises(InvalidArgumentError):
             verify_segment(P_K4, point, point, 1, frac(1, 16))
-
-
-class TestFitWeightProfile:
-    def test_half(self):
-        fit = fit_weight_profile(2, [0.25, 0.25, 0.125, 0.125, 0.125, 0.125], 1e-9)
-        assert fit.alpha == pytest.approx(0.5) and fit.max_deviation == 0
-
-    def test_extreme(self):
-        fit = fit_weight_profile(2, [0.25, 0.25, 0.25, 0.0, 0.0, 0.25], 1e-9)
-        assert fit.alpha == pytest.approx(1.0) and fit.max_deviation == 0
-
-    def test_rejects_far_point(self):
-        assert fit_weight_profile(2, [1.0, 0, 0, 0, 0, 0], 0.01) is None
-
-    def test_tie_prefers_small_alpha(self):
-        fit = fit_weight_profile(2, [0.25, 0.25, 0.125, 0.125, 0.125, 0.125], 1e-6)
-        assert fit.alpha <= 0.5
-
-    def test_dimension_checked(self):
-        with pytest.raises(InvalidArgumentError):
-            fit_weight_profile(2, [0.5, 0.5], 1e-6)
-
-    def test_keeps_the_better_of_alpha_and_its_mirror(self):
-        rng = np.random.default_rng(11)
-        mirrored = 0
-        for _ in range(200):
-            x = rng.dirichlet(np.ones(6))
-            fit = fit_weight_profile(2, x, 1.0)
-
-            def deviation(alpha):
-                return float(np.max(np.abs(x - profile_template(2, alpha))))
-
-            assert fit.max_deviation == deviation(fit.alpha)
-            assert fit.max_deviation <= deviation(1 - fit.alpha)
-            least_squares = min(1.0, max(0.0, 0.5 + x[2] + x[5] - x[3] - x[4]))
-            mirrored += deviation(least_squares) > fit.max_deviation
-        assert mirrored > 0
-
-    def test_template_needs_t_at_least_2(self):
-        from turan.verify import sample_near_optimal
-
-        assert profile_template(2, 0.5).shape == (6,)
-        for t in (0, 1):
-            with pytest.raises(InvalidArgumentError):
-                profile_template(t, 0.5)
-        with pytest.raises(InvalidArgumentError):
-            sample_near_optimal(1, 1e-6, 1)
-
-    def test_near_optimal_points_fit(self):
-        from turan.verify import sample_near_optimal
-
-        for t in (2, 3):
-            for delta in (1e-6, 1e-8):
-                eps = 30 * t * delta**0.5
-                for x in sample_near_optimal(t, delta, 120, seed=t):
-                    fit = fit_weight_profile(t, x, eps)
-                    assert fit is not None and fit.max_deviation <= eps
